@@ -186,13 +186,29 @@ def _add_common(p, dim_default=2):
     p.add_argument("--rctr", type=float, default=1.0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _take_defaults(parser, config):
+    """Make ``config``'s values the defaults of the flags ``parser`` declares.
+
+    A subcommand re-declares the global flags with ``SUPPRESS``, so they take
+    their config value on the root parser only, where a flag given before the
+    subcommand still overrides it.
+    """
+    if config:
+        declared = vars(parser.parse_known_args([])[0])
+        parser.set_defaults(**{key: value for key, value in config.items()
+                               if key in declared})
+
+
+def build_parser(config=None) -> argparse.ArgumentParser:
+    """The ``ditsp`` parser; ``config`` maps flag names to their defaults."""
     root = argparse.ArgumentParser(prog="ditsp", description=__doc__)
     root.add_argument("--config", type=str, default=None,
                       help="JSON file of default flag values")
     root.add_argument("--seed", type=int, default=0)
     root.add_argument("--out", type=str, default=None)
     root.add_argument("--format", choices=("csv", "json"), default="csv")
+    # before the required subcommand exists, while parsing [] still succeeds
+    _take_defaults(root, config)
     sub = root.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tour", help="run tour trials, emit one CSV row each")
@@ -233,23 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope-min", type=float, default=None)
     p.add_argument("--slope-max", type=float, default=None)
     p.set_defaults(func=cmd_scaling)
+    for p in sub.choices.values():
+        _take_defaults(p, config)
     return root
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.config:
+        # parse again with the file's values as defaults, so every flag given
+        # on the command line, in any spelling, wins
         with open(args.config) as fh:
-            defaults = json.load(fh)
-        passed = argv if argv is not None else sys.argv[1:]
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if attr == "lambda":
-                attr = "lam"
-            flag = "--" + key
-            if hasattr(args, attr) and flag not in passed:
-                setattr(args, attr, value)
+            config = {key.replace("-", "_"): value
+                      for key, value in json.load(fh).items()}
+        if "lambda" in config:
+            config["lam"] = config.pop("lambda")
+        args = build_parser(config).parse_args(argv)
     return args.func(args)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,34 +56,41 @@ def _edge_lengths(points: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _nearest_neighbor_order(points: np.ndarray, start: int) -> np.ndarray:
+    """Nearest-neighbour walk from ``start``; ties go by kd-tree order.
+
+    Every point's 16 nearest neighbours come from one batched kd-tree query.
+    Only when all of them are visited is the tree queried again, for 4x as
+    many each time; at ``n`` it lists every point, so the walk always finds
+    one (the kd-tree rejects non-finite points).
+    """
     n = len(points)
     if n <= 2:
         return np.arange(n)
     tree = cKDTree(points)
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    order[0] = start
-    visited[start] = True
-    current = start
     k = min(n, 16)
-    for step in range(1, n):
+    _, nbrs = tree.query(points, k=k)
+    visited = bytearray(n)
+    order = [start]
+    visited[start] = 1
+    current = start
+    for _ in range(1, n):
         found = -1
+        for j in nbrs[current].tolist():
+            if not visited[j]:
+                found = j
+                break
         kk = k
         while found < 0:
+            kk = min(n, kk * 4)
             _, idx = tree.query(points[current], k=kk)
-            for j in np.atleast_1d(idx):
-                if j < n and not visited[j]:
+            for j in idx.tolist():
+                if not visited[j]:
                     found = j
                     break
-            if found < 0:
-                if kk >= n:
-                    found = int(np.flatnonzero(~visited)[0])
-                    break
-                kk = min(n, kk * 4)
-        order[step] = found
-        visited[found] = True
+        order.append(found)
+        visited[found] = 1
         current = found
-    return order
+    return np.array(order, dtype=np.int64)
 
 
 def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarray:
@@ -92,29 +100,51 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarra
     and the scan stops once the candidate edge is no shorter than the removed
     one; checking both tour directions per anchor makes this exhaustive, so a
     fixed point (with full candidate lists) is a true 2-opt local optimum.
+    One call need not end at a fixed point: a move clears the don't-look bits
+    of its four endpoints only, so an anchor set aside earlier can keep an
+    improving move (3D tours of 50-200 points show this).
+
+    Every distance has one definition: the per-dimension differences,
+    squared and summed left to right, then ``sqrt``.  ``dist`` evaluates it on
+    Python floats and the dense path on whole arrays; both are bit-for-bit the
+    ``np.linalg.norm(..., axis=...)`` of ``_edge_lengths``.  ``math.hypot``
+    and ``np.linalg.norm`` of a 1-D vector (a ``dot`` with fused
+    multiply-adds) are not used: each differs from it in the last bit on many
+    pairs, so candidate order and move tests could disagree.
     """
     n = len(order)
     if n < 4:
         return order
+    if n <= _FULL_2OPT_LIMIT:
+        full = np.sqrt(sum((p[:, None] - p[None, :]) ** 2 for p in points.T))
+        cand = np.argsort(full, axis=1)[:, 1:]
+    else:
+        _, nbrs = cKDTree(points).query(points, k=min(n, _KNN + 1))
+        cand = nbrs[:, 1:]
+
+    if points.shape[1] == 2:
+        xs, ys = points.T.tolist()
+
+        def dist(u, v):
+            dx = xs[u] - xs[v]
+            dy = ys[u] - ys[v]
+            return math.sqrt(dx * dx + dy * dy)
+    else:
+        xs, ys, zs = points.T.tolist()
+
+        def dist(u, v):
+            dx = xs[u] - xs[v]
+            dy = ys[u] - ys[v]
+            dz = zs[u] - zs[v]
+            return math.sqrt(dx * dx + dy * dy + dz * dz)
+
     tour = order.copy()
     pos = np.empty(n, dtype=np.int64)
     pos[tour] = np.arange(n)
-
-    dist_all = None
-    if n <= _FULL_2OPT_LIMIT:
-        dist_all = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-        cand = [np.argsort(dist_all[i])[1:] for i in range(n)]
-    else:
-        tree = cKDTree(points)
-        _, nbrs = tree.query(points, k=min(n, _KNN + 1))
-        cand = [row[1:] for row in nbrs]
-
-    def dist(u, v):
-        if dist_all is not None:
-            return dist_all[u, v]
-        return float(np.linalg.norm(points[u] - points[v]))
-
-    dont_look = np.zeros(n, dtype=bool)
+    # the loop reads single entries as Python ints through memoryviews and
+    # _reverse_arc writes whole arcs through the arrays
+    tour_at, pos_of = memoryview(tour), memoryview(pos)
+    dont_look = bytearray(n)
     moves = 0
     queue = list(range(n))
     while queue and moves < max_moves:
@@ -122,34 +152,33 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarra
         if dont_look[a]:
             continue
         improved = False
-        for side in (0, 1):
-            ia = pos[a]
-            ib = (ia + 1) % n if side == 0 else (ia - 1) % n
-            b = tour[ib]
+        ia = pos_of[a]
+        row = cand[a].tolist()
+        for step in (1, -1):
+            ib = (ia + step) % n
+            b = tour_at[ib]
             d_ab = dist(a, b)
-            for c in cand[a]:
+            for c in row:
                 if c == b or c == a:
                     continue
                 d_ac = dist(a, c)
                 if d_ac >= d_ab:
                     break
-                ic = pos[c]
-                idd = (ic + 1) % n if side == 0 else (ic - 1) % n
-                d = tour[idd]
+                ic = pos_of[c]
+                idd = (ic + step) % n
+                d = tour_at[idd]
                 if d == a:
                     continue
                 delta = d_ac + dist(b, d) - d_ab - dist(c, d)
                 if delta < -1e-12:
-                    if side == 0:
-                        i, j = (ia + 1) % n, ic
+                    if step == 1:
+                        _reverse_arc(tour, pos, ib, ic)
                     else:
-                        i, j = ia, idd
-                    _reverse_arc(tour, pos, i, j)
+                        _reverse_arc(tour, pos, ia, idd)
                     moves += 1
                     improved = True
-                    for t in (int(a), int(b), int(c), int(d)):
-                        if dont_look[t]:
-                            dont_look[t] = False
+                    for t in (a, b, c, d):
+                        dont_look[t] = 0
                         queue.append(t)
                     break
             if improved:
@@ -157,10 +186,9 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarra
         if improved:
             queue.append(a)
         else:
-            dont_look[a] = True
+            dont_look[a] = 1
             if not queue:
-                pending = np.flatnonzero(~dont_look)
-                queue = [int(t) for t in pending]
+                queue = [t for t in range(n) if not dont_look[t]]
     return tour
 
 
@@ -172,9 +200,14 @@ def _reverse_arc(tour: np.ndarray, pos: np.ndarray, i: int, j: int):
         # reverse the complementary arc instead; the cycle is equivalent
         i, j = (j + 1) % n, (i - 1) % n
         inner = (j - i) % n + 1
-    idx = (np.arange(inner) + i) % n
-    tour[idx] = tour[idx[::-1]]
-    pos[tour[idx]] = idx
+    if i <= j:
+        tour[i:j + 1] = tour[i:j + 1][::-1]
+        pos[tour[i:j + 1]] = np.arange(i, j + 1)
+    else:
+        # the arc wraps past the end of the array
+        idx = (np.arange(inner) + i) % n
+        tour[idx] = tour[idx[::-1]]
+        pos[tour[idx]] = idx
 
 
 def etsp_tour(pset: PointSet, seed: int = 0) -> TourOrder:

@@ -97,3 +97,27 @@ def test_config_file_defaults(tmp_path):
 def test_missing_depth_errors():
     with pytest.raises(SystemExit):
         main(["tour", "--dim", "3", "--algo", "reccca", "--n", "10"])
+
+
+@pytest.mark.parametrize("flag", [["--n=7"], ["--n", "7"]])
+def test_config_file_yields_to_flags(tmp_path, flag):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n": 50, "seed": 5}))
+    out = tmp_path / "t.csv"
+    rc = main(["--config", str(cfgfile), "--out", str(out), "tour"] + flag)
+    assert rc == 0
+    rows = list(csv.DictReader(out.open()))
+    assert rows[0]["n"] == "7"
+
+
+def test_config_file_global_flag_either_side(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 20, "seed": 5}))
+    outs = []
+    for argv in (["--config", str(cfg), "--seed", "3", "tour"],
+                 ["--config", str(cfg), "tour", "--seed=3"],
+                 ["tour", "--n", "20", "--seed", "3"],
+                 ["--config", str(cfg), "tour"]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2] != outs[3]

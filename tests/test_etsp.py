@@ -1,10 +1,15 @@
 """Tour heuristic quality and diagnostics against exact small-case solutions."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from ditsp.etsp import (PointSet, etsp_tour, held_karp_length,
-                        long_edge_count, worst_case_grid)
+import ditsp.etsp
+from ditsp.etsp import (PointSet, _nearest_neighbor_order, _two_opt,
+                        etsp_tour, held_karp_length, long_edge_count,
+                        worst_case_grid)
 from ditsp.rng import substream
 
 
@@ -103,3 +108,108 @@ def test_etsp_deterministic_given_seed():
     a = etsp_tour(PointSet(points=pts), seed=5)
     b = etsp_tour(PointSet(points=pts), seed=5)
     assert np.array_equal(a.order, b.order)
+
+
+# sha256 of etsp_tour(..., seed=3).order as int64, recorded with the
+# per-step kd-tree walk and per-pair np.linalg.norm 2-opt of commit 53bf733;
+# the neighbour-list rewrite must give the same tours byte for byte
+PINNED_TOURS = {
+    "uniform-1000-dense":
+        ("b30518cd4eb02e5270f2aeaa583ac03743a1c6e094ef2daaab2643b6c6c8d833",
+         lambda: substream(21, 0).uniform(size=(1000, 2))),
+    "uniform-2000-neighbour-lists":
+        ("ccef2d03752ae8acf87cef778c9904b34ab657b53ff077f88fe8cb099cb4229d",
+         lambda: substream(21, 1).uniform(size=(2000, 2))),
+    "uniform-3d-1500":
+        ("3956339cec51263f7662548bdcb6389e12b19d15f14e67d42cc00ddcab7b8c1f",
+         lambda: substream(21, 2).uniform(size=(1500, 3))),
+    "uniform-3d-700-dense":
+        ("adc74b89ceea7bbf2b9b41c33ee31e3a871b09f4bce15e6a96886bc34ad6f912",
+         lambda: substream(21, 3).uniform(size=(700, 3))),
+    "grid-1600-ties":
+        ("d43ebeffc459bbd469a954a02e9102cb88b153811cddce549a400f53d58de24d",
+         lambda: worst_case_grid(1600, 2, 1.0, 1.0).points),
+    "grid-900-dense-ties":
+        ("fd82bcf2bec58560747fa66330b8598fee25a64da3d9a1607de7ca716dfcd005",
+         lambda: worst_case_grid(900, 2, 1.0, 1.0).points),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TOURS))
+def test_tour_digest_pinned(name):
+    digest, make = PINNED_TOURS[name]
+    order = etsp_tour(PointSet(points=make()), seed=3).order
+    got = hashlib.sha256(np.asarray(order, dtype=np.int64).tobytes())
+    assert got.hexdigest() == digest
+
+
+def _brute_force_walk(points, start):
+    """Nearest-neighbour walk by full distance scans (no kd-tree)."""
+    n = len(points)
+    visited = np.zeros(n, dtype=bool)
+    order = [start]
+    visited[start] = True
+    for _ in range(1, n):
+        d = np.linalg.norm(points - points[order[-1]], axis=1)
+        d[visited] = np.inf
+        nxt = int(np.argmin(d))
+        order.append(nxt)
+        visited[nxt] = True
+    return np.array(order)
+
+
+class _CountingTree(cKDTree):
+    """kd-tree that records the ``k`` of every query."""
+
+    ks = []
+
+    def query(self, x, k=1, **kw):
+        _CountingTree.ks.append(k)
+        return super().query(x, k=k, **kw)
+
+
+def test_nearest_neighbor_walk_matches_brute_force(monkeypatch):
+    monkeypatch.setattr(ditsp.etsp, "cKDTree", _CountingTree)
+    rng = substream(11, 5)
+    # two clusters of 300 far apart use up the 16-, 64- and 256-neighbour
+    # lists of the last point of the first one; clusters of 40 use up 16
+    centres = [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (50.0, 50.0), (25, 90)]
+    sizes = [300, 300, 40, 40, 40]
+    clustered = np.concatenate([c + rng.uniform(size=(m, 2))
+                                for c, m in zip(centres, sizes)])
+    inputs = [rng.uniform(size=(n, d)) for n, d in
+              ((3, 2), (17, 2), (500, 2), (400, 3))] + [clustered]
+    for pts in inputs:
+        _CountingTree.ks.clear()
+        for start in (0, len(pts) // 2, len(pts) - 1):
+            got = _nearest_neighbor_order(pts, start)
+            assert np.array_equal(got, _brute_force_walk(pts, start))
+    assert {16, 64, 256, len(clustered)} <= set(_CountingTree.ks)
+
+
+def _improving_moves(points, tour):
+    """Edge pairs whose 2-opt exchange shortens the tour by more than 1e-12."""
+    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    a, b = tour, np.roll(tour, -1)
+    removed = dist[a, b]
+    gain = (removed[:, None] + removed[None, :]
+            - dist[a[:, None], a[None, :]] - dist[b[:, None], b[None, :]])
+    return int(np.count_nonzero(np.triu(gain, 2) > 1e-12))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_two_opt_fixed_point_is_local_optimum(d):
+    # a tour the full-candidate scan leaves unchanged admits no improving
+    # 2-opt move; one call need not reach such a tour (see _two_opt)
+    for k, n in enumerate((5, 12, 50, 120, 200, 200)):
+        pts = substream(13, 10 * d + k).uniform(size=(n, d))
+        tour = _nearest_neighbor_order(pts, 0)
+        for _ in range(50):
+            nxt = _two_opt(pts, tour, max_moves=50 * n)
+            if np.array_equal(nxt, tour):
+                break
+            tour = nxt
+        else:
+            pytest.fail("2-opt did not reach a fixed point")
+        assert sorted(tour.tolist()) == list(range(n))
+        assert _improving_moves(pts, tour) == 0
