@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ditsp.etsp import PointSet, etsp_tour
 from ditsp.geometry import (
@@ -27,6 +28,11 @@ from ditsp.geometry import (
     ell_for_n_3d,
 )
 from ditsp.vehicle import VehicleParams, stop_go_time, u_turn_length
+
+# relative gap by which a kd neighbour row's farthest distance must exceed the
+# best candidate's before the row is trusted to hold the nearest point: kd
+# distances and the cleanup's own distance may differ in the last bits
+_KD_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,46 +88,106 @@ def stop_go_stop(pset: PointSet, params: VehicleParams, seed: int = 0) -> Tour:
 def greedy_cleanup(points: np.ndarray, start: np.ndarray, params: VehicleParams):
     """Nearest-neighbor stop-go sweep over leftover targets.
 
+    Each step goes to the remaining point nearest the current position by
+    ``sqrt(dx*dx + dy*dy [+ dz*dz])``, summed left to right (bit-equal to
+    ``np.linalg.norm(..., axis=1)``), ties to the lowest index.  Candidates
+    come from kd-tree neighbour rows: every point's 16 nearest from one
+    batched query, re-queried with 4x as many only when a row cannot decide.
+    A row decides when its farthest kd distance exceeds the best remaining
+    candidate's distance by a relative ``_KD_MARGIN``, so no point outside it
+    can be nearer or tie; at ``m`` neighbours it lists every point.  Points
+    must be finite (the kd-tree rejects others).
+
     Returns ``(segments, order)`` where order indexes into ``points``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(points) if points.size else 0
     if m == 0:
         return [], np.array([], dtype=np.int64)
-    remaining = np.ones(m, dtype=bool)
+    cols = points.T.tolist()
+    if len(cols) == 2:
+        xs, ys = cols
+
+        def dist(q, j):
+            dx = xs[j] - q[0]
+            dy = ys[j] - q[1]
+            return math.sqrt(dx * dx + dy * dy)
+    else:
+        xs, ys, zs = cols
+
+        def dist(q, j):
+            dx = xs[j] - q[0]
+            dy = ys[j] - q[1]
+            dz = zs[j] - q[2]
+            return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+    tree = cKDTree(points)
+    k = min(m, 16)
+    kd_rows, nbr_rows = tree.query(points, k=k)
+    kd_rows = kd_rows.reshape(m, k)
+    nbr_rows = nbr_rows.reshape(m, k)
+    kd, nbrs = tree.query(start, k=k)
+    kd, nbrs = np.atleast_1d(kd), np.atleast_1d(nbrs)
+    visited = bytearray(m)
     pos = np.asarray(start, dtype=float)
+    q = pos.tolist()
     segments = []
     order = np.empty(m, dtype=np.int64)
-    for k in range(m):
-        idx = np.flatnonzero(remaining)
-        d = np.linalg.norm(points[idx] - pos, axis=1)
-        j = idx[int(np.argmin(d))]
-        delta = float(np.linalg.norm(points[j] - pos))
+    for step in range(m):
+        kk = k
+        while True:
+            best, best_d = -1, math.inf
+            for j in nbrs.tolist():
+                if not visited[j]:
+                    dj = dist(q, j)
+                    if dj < best_d or (dj == best_d and j < best):
+                        best, best_d = j, dj
+            if kk == m or float(kd[-1]) > best_d * (1.0 + _KD_MARGIN):
+                break
+            kk = min(m, kk * 4)
+            kd, nbrs = tree.query(pos, k=kk)
+        delta = float(np.linalg.norm(points[best] - pos))
         segments.append(Segment(kind="stop_go_leg", length=delta,
                                 duration=stop_go_time(delta, params)))
-        order[k] = j
-        remaining[j] = False
-        pos = points[j]
+        order[step] = best
+        visited[best] = 1
+        pos = points[best]
+        q = pos.tolist()
+        kd, nbrs = kd_rows[best], nbr_rows[best]
     return segments, order
 
 
+def _group_key(keys: np.ndarray) -> np.ndarray:
+    """One int64 per row of an (m, k) integer array, equal iff the rows are.
+
+    Columns are offset to 0 and combined in mixed radix, first column most
+    significant, so the keys sort as the rows do lexicographically.
+    """
+    if len(keys) == 0:
+        return np.empty(0, dtype=np.int64)
+    lo = keys.min(axis=0)
+    span = keys.max(axis=0) - lo + 1
+    if math.prod(span.tolist()) >= 2**63:
+        raise ValueError("group keys span too many values for one int64")
+    key = keys[:, 0] - lo[0]
+    for i in range(1, keys.shape[1]):
+        key = key * span[i] + (keys[:, i] - lo[i])
+    return key
+
+
 def _serve_oldest_per_group(unserved_idx: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Indices (into the original point set) of the oldest target per group.
+    """Indices (into the original point set) of the oldest target per group,
+    in lexicographic key order.
 
     ``keys`` is an (m, k) integer array of group coordinates aligned with
-    ``unserved_idx``; age equals the point index (generation order).
+    ``unserved_idx``; age equals the point index (generation order), and
+    ``unserved_idx`` must be ascending, so that the stable sort of
+    ``np.unique`` keeps each group's oldest target first.
     """
     if len(unserved_idx) == 0:
         return unserved_idx
-    _, first = np.unique(keys, axis=0, return_index=True)
-    # np.unique sorts lexically and keeps the first occurrence in sorted
-    # order of the flattened input; to get the oldest per group, pre-sort by
-    # (key, age)
-    order = np.lexsort((unserved_idx,) + tuple(keys[:, i] for i in range(keys.shape[1] - 1, -1, -1)))
-    sorted_keys = keys[order]
-    new_group = np.ones(len(order), dtype=bool)
-    new_group[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
-    return unserved_idx[order[new_group]]
+    _, first = np.unique(_group_key(keys), return_index=True)
+    return unserved_idx[first]
 
 
 def _sweep_visit_order(served: np.ndarray, meta_row: np.ndarray, meta_col: np.ndarray,
@@ -217,7 +283,6 @@ def rec_cca(pset: PointSet, params: VehicleParams, seed: int = 0,
     reports = []
     visit_chunks = []
     uturn = u_turn_length(rho)
-    global_sub = 0
 
     for phase in range(1, n_phases + 1):
         ell_p = min(2.0 ** (phase - 1) * ell0, 4.0 * rho)
@@ -235,18 +300,17 @@ def rec_cca(pset: PointSet, params: VehicleParams, seed: int = 0,
             served = _serve_oldest_per_group(idx, keys)
             unserved[served] = False
             # layer-major, then rows top-to-down within layer
-            sel = np.isin(idx, served, assume_unique=True)
+            sel = ~unserved[idx]
             visit_chunks.append(_sweep_visit_order(
                 served, row[still][sel] >> b, col[still][sel] >> a, grid.row_max >> b))
 
             # only meta-rows that still hold unserved targets are swept;
-            # empty cylinders need no pass
-            if len(keys):
-                occ_pairs = np.unique(keys[:, :2], axis=0)
-            else:
-                occ_pairs = np.empty((0, 2), dtype=np.int64)
-            n_occ_rows = len(occ_pairs)
-            n_occ_layers = len(np.unique(occ_pairs[:, 0])) if n_occ_rows else 0
+            # empty cylinders need no pass.  Every occupied meta-cylinder
+            # serves one target, so the served targets' keys name the
+            # occupied (layer, row) pairs and layers
+            served_keys = keys[sel]
+            n_occ_rows = len(np.unique(_group_key(served_keys[:, :2])))
+            n_occ_layers = len(np.unique(served_keys[:, 0]))
 
             ell_m = (1 << a) * ell_p
             row_len = 2.0 * (W + 2.0 * ell_m) + uturn + ell_m / 2.0
@@ -261,7 +325,6 @@ def rec_cca(pset: PointSet, params: VehicleParams, seed: int = 0,
             segments.extend([seg_row, seg_ut] * n_occ_rows)
             segments.extend([seg_lt] * n_occ_layers)
             segments.append(Segment("closing", close_len, close_len / s))
-            global_sub += 1
             n_meta_cols = (grid.n_cols - 1 >> a) + 1
             reports.append(PhaseReport(
                 phase=phase, meta_size=1 << (a + b + c),

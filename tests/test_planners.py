@@ -1,14 +1,17 @@
 """Tour planners: conservation, phase accounting, and timing identities."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ditsp.etsp import PointSet
 from ditsp.geometry import BeadGrid, BeadSpec, ell_for_n
-from ditsp.planners import (Segment, Tour, greedy_cleanup, rec_bta, rec_cca,
-                            stop_go_stop)
+from ditsp.planners import (Segment, Tour, _serve_oldest_per_group,
+                            greedy_cleanup, rec_bta, rec_cca, stop_go_stop)
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams, stop_go_time
 
@@ -164,3 +167,135 @@ def test_tour_totals_are_segment_sums():
     t = Tour(segments=segs, visit_order=np.array([0]))
     assert t.total_length == 3.0
     assert t.total_time == 6.0
+
+
+# -- pins: sweep planners' outputs, recorded at commit e0a8677 ----------------
+
+def _pin_uniform(n, d):
+    return substream(31, 0, d).uniform(size=(n, d))
+
+
+def _pin_clustered(n, d):
+    # eight tight hotspots clipped to the workspace: about 60% of the points
+    # are left to greedy_cleanup, and clipping puts many on the boundary
+    rng = substream(31, 1, d)
+    centers = rng.uniform(size=(8, d))
+    pts = centers[rng.integers(8, size=n)] + rng.normal(scale=0.02, size=(n, d))
+    return np.clip(pts, 0.0, 1.0)
+
+
+# name: (planner, params, points, sha256 of the totals and phase reports,
+# sha256 of visit_order as int64)
+PINNED_SWEEPS = {
+    "bta-uniform-3000": (
+        rec_bta, PARAMS, lambda: _pin_uniform(3000, 2),
+        "0ca2104e142f91ed4bd47480e64355e75d3a68a13483ee599d6734dcf4415464",
+        "e9d40e1160024e09d7df8bc761ff9dca9ffc31bce06109271b12f37ec9b69b49"),
+    "bta-clustered-3000": (
+        rec_bta, PARAMS, lambda: _pin_clustered(3000, 2),
+        "68c88e14ebcf581386bb82901ade217ea177aa813beda96f5d79c08b51491b18",
+        "71d06e2a68f24f593c52c1a8b922853c5d91f9a90f9201ed17b1aac4ead9edf5"),
+    "cca-uniform-1500": (
+        rec_cca, PARAMS3, lambda: _pin_uniform(1500, 3),
+        "c41c0d26f0e52dabe4efac361bccd58066b686a858e5c1d4356d921d829543cd",
+        "4d3178c31e648baa40e37dcf3ca2efa917c4bb1a235abb38f929df4e8bfdcf73"),
+    "cca-clustered-1500": (
+        rec_cca, PARAMS3, lambda: _pin_clustered(1500, 3),
+        "9f87e81e08303d356b5af86851b35850c7cb5df6b34322f831995f8c2fd46f43",
+        "1263df330111c9d850e4984ab46709ee0d1fdc807a05a0cb2da643b4454e4360"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_sweep_digest_pinned(name):
+    plan, params, make, totals_digest, order_digest = PINNED_SWEEPS[name]
+    tour, reports = plan(PointSet(points=make()), params)
+    h = hashlib.sha256(f"{tour.total_time!r},{tour.total_length!r}\n".encode())
+    for r in reports:
+        h.update(repr((r.phase, r.subphase, r.meta_size, r.cells_traversed,
+                       r.served, r.leftover_after, r.length)).encode())
+    assert h.hexdigest() == totals_digest
+    order = np.asarray(tour.visit_order, dtype=np.int64)
+    assert hashlib.sha256(order.tobytes()).hexdigest() == order_digest
+
+
+# -- oracles -----------------------------------------------------------------
+
+def _brute_force_cleanup(points, start):
+    """Greedy walk by full distance scans: the nearest remaining point by the
+    axis-1 norm, ties to the lowest index; legs by the 1-D norm."""
+    remaining = np.ones(len(points), dtype=bool)
+    pos = np.asarray(start, dtype=float)
+    order, lengths = [], []
+    for _ in range(len(points)):
+        idx = np.flatnonzero(remaining)
+        j = idx[int(np.argmin(np.linalg.norm(points[idx] - pos, axis=1)))]
+        lengths.append(float(np.linalg.norm(points[j] - pos)))
+        order.append(j)
+        remaining[j] = False
+        pos = points[j]
+    return order, lengths
+
+
+def _cleanup_case(name, d):
+    rng = substream(41, d, len(name))
+    if name == "uniform":
+        return rng.uniform(size=(400, d))
+    if name == "duplicates":
+        base = rng.uniform(size=(60, d))
+        return base[rng.integers(60, size=400)]
+    if name == "rounded-ties":
+        return np.round(rng.uniform(size=(400, d)), 1)
+    if name == "clipped":
+        # clusters around points near the boundary, clipped onto it
+        centers = rng.uniform(-0.05, 0.05, size=(6, d)) % 1.0
+        pick = rng.integers(6, size=400)
+        return np.clip(centers[pick] + rng.normal(scale=0.05, size=(400, d)),
+                       0.0, 1.0)
+    # far clusters: each is used up long before the walk leaves it, so the
+    # neighbour rows run dry and the tree is queried again with more points
+    centers = rng.uniform(size=(5, d)) * 1e3
+    pick = rng.integers(5, size=400)
+    return centers[pick] + np.round(rng.normal(scale=1.0, size=(400, d)), 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", ["uniform", "duplicates", "rounded-ties",
+                                  "clipped", "far-clusters"])
+def test_greedy_cleanup_matches_brute_force(name, d):
+    pts = _cleanup_case(name, d)
+    for start in (np.zeros(d), pts[7].copy(), np.full(d, 0.5)):
+        segs, order = greedy_cleanup(pts, start, PARAMS)
+        want_order, want_lengths = _brute_force_cleanup(pts, start)
+        assert order.tolist() == want_order
+        assert [s.length for s in segs] == want_lengths
+        assert [s.duration for s in segs] == [stop_go_time(x, PARAMS)
+                                              for x in want_lengths]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=30),
+       st.integers(2, 3))
+def test_greedy_cleanup_small_grids_match_brute_force(cells, d):
+    # integer coordinates: many exact ties and duplicates
+    pts = np.array([c + (c[0],) * (d - 2) for c in cells], dtype=float)
+    segs, order = greedy_cleanup(pts, np.zeros(d), PARAMS)
+    want_order, want_lengths = _brute_force_cleanup(pts, np.zeros(d))
+    assert order.tolist() == want_order
+    assert [s.length for s in segs] == want_lengths
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(-3, 3)), min_size=1, max_size=40),
+       st.integers(1, 3))
+def test_serve_oldest_per_group_matches_dict(rows, k):
+    keys = np.array([r[:k] for r in rows], dtype=np.int64)
+    # ascending, gapped ages, as the planners pass them
+    idx = np.cumsum(np.arange(1, len(rows) + 1), dtype=np.int64)
+    oldest = {}
+    for age, key in zip(idx.tolist(), map(tuple, keys.tolist())):
+        oldest[key] = min(oldest.get(key, age), age)
+    served = _serve_oldest_per_group(idx, keys)
+    assert sorted(served.tolist()) == sorted(oldest.values())
