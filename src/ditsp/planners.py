@@ -191,11 +191,15 @@ def _serve_oldest_per_group(unserved_idx: np.ndarray, keys: np.ndarray) -> np.nd
 
 
 def _sweep_visit_order(served: np.ndarray, meta_row: np.ndarray, meta_col: np.ndarray,
-                       row_top: int) -> np.ndarray:
-    """Order served targets top-to-down, serpentine within rows."""
+                       row_top: int, meta_layer: np.ndarray | None = None) -> np.ndarray:
+    """Order served targets top-to-down, serpentine within rows; with
+    ``meta_layer``, layer by layer first."""
     rank = row_top - meta_row  # 0 for the top row
     signed_col = np.where(rank % 2 == 0, meta_col, -meta_col)
-    order = np.lexsort((served, signed_col, rank))
+    sort_keys = (served, signed_col, rank)
+    if meta_layer is not None:
+        sort_keys += (meta_layer,)
+    order = np.lexsort(sort_keys)
     return served[order]
 
 
@@ -299,16 +303,18 @@ def rec_cca(pset: PointSet, params: VehicleParams, seed: int = 0,
             keys = np.column_stack([lay[still] >> c, row[still] >> b, col[still] >> a])
             served = _serve_oldest_per_group(idx, keys)
             unserved[served] = False
-            # layer-major, then rows top-to-down within layer
+            # the served targets in index order, with their own keys
             sel = ~unserved[idx]
+            served_keys = keys[sel]
+            # layer-major, then rows top-to-down within layer
             visit_chunks.append(_sweep_visit_order(
-                served, row[still][sel] >> b, col[still][sel] >> a, grid.row_max >> b))
+                idx[sel], served_keys[:, 1], served_keys[:, 2],
+                grid.row_max >> b, meta_layer=served_keys[:, 0]))
 
             # only meta-rows that still hold unserved targets are swept;
             # empty cylinders need no pass.  Every occupied meta-cylinder
             # serves one target, so the served targets' keys name the
             # occupied (layer, row) pairs and layers
-            served_keys = keys[sel]
             n_occ_rows = len(np.unique(_group_key(served_keys[:, :2])))
             n_occ_layers = len(np.unique(served_keys[:, 0]))
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditsp.etsp import PointSet
-from ditsp.geometry import BeadGrid, BeadSpec, ell_for_n
+from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
+                            cylinder_meta_index, ell_for_n, ell_for_n_3d)
 from ditsp.planners import (Segment, Tour, _serve_oldest_per_group,
                             greedy_cleanup, rec_bta, rec_cca, stop_go_stop)
 from ditsp.rng import substream
@@ -157,6 +158,27 @@ def test_rec_cca_length_accounting_consistent():
     assert tour.total_length == pytest.approx(phase_len + cleanup_len, rel=1e-9)
 
 
+@pytest.mark.parametrize("params", [PARAMS3, VehicleParams(r_vel=0.3, r_ctr=1.0)])
+def test_rec_cca_chunks_layer_major_top_down(params):
+    # each sub-phase serves layer by layer and, within a layer, meta-row by
+    # meta-row from the top: (meta-layer, -meta-row) never decreases
+    n = 3000
+    ps = _uniform_pset(n, 12, d=3)
+    tour, reports = rec_cca(ps, params)
+    rho = params.turn_radius
+    ell0, _ = ell_for_n_3d(1.0, 1.0, 1.0, rho, n)
+    pos = 0
+    for r in reports:
+        batch = tour.visit_order[pos:pos + r.served]
+        pos += r.served
+        ell_p = min(2.0 ** (r.phase - 1) * ell0, 4.0 * rho)
+        grid = CylinderGrid(1.0, 1.0, 1.0, CylinderSpec.create(rho, ell_p))
+        ml, mr, _ = cylinder_meta_index(r.subphase,
+                                        *grid.cell_index(ps.points[batch]))
+        steps = list(zip(ml.tolist(), (-mr).tolist()))
+        assert steps == sorted(steps)
+
+
 def test_rec_cca_rejects_2d():
     with pytest.raises(ValueError):
         rec_cca(_uniform_pset(10, 11, d=2), PARAMS3)
@@ -185,7 +207,10 @@ def _pin_clustered(n, d):
 
 
 # name: (planner, params, points, sha256 of the totals and phase reports,
-# sha256 of visit_order as int64)
+# sha256 of visit_order as int64).  All recorded at commit e0a8677 except the
+# rec_cca visit orders, re-recorded when each sub-phase's order was made
+# layer-major with every target ranked by its own meta-cell (it had ranked
+# targets by other targets' cells); their totals did not change
 PINNED_SWEEPS = {
     "bta-uniform-3000": (
         rec_bta, PARAMS, lambda: _pin_uniform(3000, 2),
@@ -198,11 +223,11 @@ PINNED_SWEEPS = {
     "cca-uniform-1500": (
         rec_cca, PARAMS3, lambda: _pin_uniform(1500, 3),
         "c41c0d26f0e52dabe4efac361bccd58066b686a858e5c1d4356d921d829543cd",
-        "4d3178c31e648baa40e37dcf3ca2efa917c4bb1a235abb38f929df4e8bfdcf73"),
+        "7112dc58e395578a4a53c74785613f29d9d69d61b9884b2913ae6fee98a45b5b"),
     "cca-clustered-1500": (
         rec_cca, PARAMS3, lambda: _pin_clustered(1500, 3),
         "9f87e81e08303d356b5af86851b35850c7cb5df6b34322f831995f8c2fd46f43",
-        "1263df330111c9d850e4984ab46709ee0d1fdc807a05a0cb2da643b4454e4360"),
+        "f32ea9aba8af45b1a709ca04219fffc5b80b21ac4386cbd73508a5da5cb6add4"),
 }
 
 
