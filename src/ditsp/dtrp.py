@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
+from ditsp.bounds import turn_penalty
 from ditsp.geometry import BeadSpec, CylinderSpec, bead_area, cylinder_volume
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams, u_turn_length
@@ -273,7 +274,7 @@ def predicted_system_time(dim: int, dims: tuple, params: VehicleParams,
                           lam: float) -> float:
     """Heavy-load prediction at the tuned utilization: coeff * lam^(2 or 4)."""
     tuning = tune_policy(dim)
-    pen = 1.0 + 7.0 * math.pi * params.r_vel**2 / (3.0 * dims[0] * params.r_ctr)
+    pen = turn_penalty(dims[0], params)
     if dim == 2:
         W, H = dims
         return tuning.coefficient * W * H / (params.r_vel * params.r_ctr) \

@@ -28,6 +28,8 @@ class PointSet:
             raise ValueError("points must be an (n, d) array with d in {2, 3}")
         if len(self.points) < 1:
             raise ValueError("point set must be nonempty")
+        if not np.isfinite(self.points).all():
+            raise ValueError("points must be finite (no NaN or inf coordinates)")
 
     @property
     def n(self) -> int:

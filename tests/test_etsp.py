@@ -22,6 +22,15 @@ def test_point_set_validation():
         PointSet(points=np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("d", [2, 3])
+def test_point_set_rejects_non_finite(bad, d):
+    pts = np.full((4, d), 0.5)
+    pts[2, d - 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PointSet(points=pts)
+
+
 def test_tour_is_permutation():
     rng = substream(11, 0)
     for n in (1, 2, 3, 7, 200):

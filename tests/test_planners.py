@@ -130,6 +130,14 @@ def test_rec_bta_rejects_3d():
         rec_bta(_uniform_pset(10, 7, d=3), PARAMS)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rec_bta_rejects_non_finite_points(bad):
+    pts = _uniform_pset(50, 13).points
+    pts[17, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        rec_bta(PointSet(points=pts), PARAMS)
+
+
 PARAMS3 = VehicleParams(r_vel=0.5, r_ctr=1.0)
 
 
