@@ -142,7 +142,7 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray, params: VehicleParams)
                     dj = dist(q, j)
                     if dj < best_d or (dj == best_d and j < best):
                         best, best_d = j, dj
-            if kk == m or float(kd[-1]) > best_d * (1.0 + _KD_MARGIN):
+            if kk == m or kd[-1] > best_d * (1.0 + _KD_MARGIN):
                 break
             kk = min(m, kk * 4)
             kd, nbrs = tree.query(pos, k=kk)
@@ -161,14 +161,14 @@ def _group_key(keys: np.ndarray) -> np.ndarray:
     """One int64 per row of an (m, k) integer array, equal iff the rows are.
 
     Columns are offset to 0 and combined in mixed radix, first column most
-    significant, so the keys sort as the rows do lexicographically.
+    significant, so the keys sort as the rows do lexicographically.  The
+    product of the column spans must stay below 2**63; meta-cell indices of
+    a grid are far below that.
     """
     if len(keys) == 0:
         return np.empty(0, dtype=np.int64)
     lo = keys.min(axis=0)
     span = keys.max(axis=0) - lo + 1
-    if math.prod(span.tolist()) >= 2**63:
-        raise ValueError("group keys span too many values for one int64")
     key = keys[:, 0] - lo[0]
     for i in range(1, keys.shape[1]):
         key = key * span[i] + (keys[:, i] - lo[i])
