@@ -1,11 +1,15 @@
 """Repair-policy tuning, queue oracles, and the sampled-cell simulator."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from ditsp.cli import main
 from ditsp.dtrp import (DtrpConfig, X_FACTOR_3D, _simulate_cells, _size_cell,
                         md1_system_time, predicted_system_time, run_bta,
                         run_cca, simulate_md1, tune_policy)
@@ -147,3 +151,123 @@ def test_stream_uniformity_ks():
     rng = substream(10, 0)
     u = rng.uniform(0.0, 1.0, size=20000)
     assert sstats.kstest(u, "uniform").pvalue > 0.01
+
+
+# -- pins and oracles --------------------------------------------------------
+
+def _stats_tuple(s):
+    # the eight fields DtrpStats had when the pins were recorded; a tuple, so
+    # that a new field does not move them
+    return (s.mean_system_time, s.mean_queue_len, s.served, s.divergent,
+            s.utilization, s.sweep_period, s.cell_rate, s.little_residual)
+
+
+def _pinned_case(name, tmp_path):
+    if name == "cli-trace":
+        # more than 50 slots and more than 200 arrivals in a traced cell, so
+        # both caps of the trace apply
+        out, trace = tmp_path / "d.csv", tmp_path / "trace.json"
+        rc = main(["dtrp", "--policy", "bta", "--lambda", "20", "--horizon",
+                   "600", "--seeds", "2", "--seed", "3", "--out", str(out),
+                   "--trace", str(trace)])
+        return f"{rc}\n{out.read_text()}{trace.read_text()}"
+    if name.startswith(("bta", "cca")):
+        policy, lam = name.split("-")
+        dims = (1.0, 1.0) if policy == "bta" else (1.0, 1.0, 1.0)
+        run = run_bta if policy == "bta" else run_cca
+        cfg = DtrpConfig(dims=dims, params=SLOW, lam=float(lam), n_slots=300,
+                         n_sample_cells=120, seed=21)
+        return repr(_stats_tuple(run(cfg)))
+    cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1.0, n_slots=400,
+                     n_sample_cells=150, seed=22)
+    if name == "late-early":
+        # 0.9 < utilization < 1: the divergence heuristic reads the late and
+        # early means
+        out = _simulate_cells(cfg, period=0.5, cell_rate=1.9,
+                              utilization=0.95)
+        return repr(_stats_tuple(out))
+    if name == "divergent":
+        # the queue grows, so the last traced arrivals are never served
+        cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1.0, n_slots=100,
+                         n_sample_cells=150, seed=23)
+        trace = []
+        out = _simulate_cells(cfg, period=1.0, cell_rate=1.2, utilization=1.2,
+                              trace=trace)
+        return repr(_stats_tuple(out)) + repr(trace)
+    # about one arrival per cell over the horizon: many cells draw none; the
+    # trace covers ten cells, some of them empty
+    trace = []
+    out = _simulate_cells(cfg, period=2.0, cell_rate=1.0 / 800.0,
+                          utilization=1.0 / 400.0, trace=trace, trace_cells=10)
+    return repr(_stats_tuple(out)) + repr(trace)
+
+
+PINNED_DTRP = {
+    "cli-trace":
+        "798cc9f7da12f91e953daf2c5efe6eb5f1a0c070aeca8bf4dc9502d29018af04",
+    "bta-20":
+        "d9de8ea10ed85411067efc4e0b114579e7c227f0d35734564ff2ecb2df46f975",
+    "bta-40":
+        "f79622fbb5c6d9ec0ab3f7c0bf8d712200bc72f91076a45364b77df168a18a36",
+    "cca-20":
+        "99d267abcd232d8933d66976bced2a8dbc712a576fab2f79979c7003a15d66e0",
+    "cca-40":
+        "51ce536e5435f9aea070d5b67babc1765973cd07c755d79696a8ba2f040133d0",
+    "late-early":
+        "fc4279474ae62e1147e8c86cde4898267e1f48c0f595b8c3634827f10b69d021",
+    "divergent":
+        "fedfa966e17aad1ce605afa13f763b2d7c03f5fa0454011dbf990600272c99a3",
+    "sparse":
+        "37c103b2847309f064741ccedfbf7d4d42c2889e4be35f0ca9e9bd44bca62e4e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DTRP))
+def test_dtrp_digest_pinned(name, tmp_path):
+    got = hashlib.sha256(_pinned_case(name, tmp_path).encode()).hexdigest()
+    assert got == PINNED_DTRP[name]
+
+
+def _fifo_oracle(cfg, period, cell_rate):
+    """The slotted queue one arrival at a time, in plain Python: each cell
+    redraws its offset and arrivals from the same substream, and arrival i
+    departs at slot max(first slot after it, slot of arrival i-1 + 1)."""
+    horizon = cfg.n_slots * period
+    warmup = cfg.warmup_fraction * horizon
+    rng = substream(cfg.seed, 7)
+    served, waits = 0, []
+    for _ in range(cfg.n_sample_cells):
+        offset = rng.uniform(0.0, period)
+        n_arr = rng.poisson(cell_rate * horizon)
+        if n_arr == 0:
+            continue
+        prev = -1
+        for a in np.sort(rng.uniform(0.0, horizon, size=n_arr)).tolist():
+            slot = max(max(math.floor((a - offset) / period) + 1, 0), prev + 1)
+            prev = slot
+            depart = offset + slot * period
+            if depart < horizon:
+                served += 1
+                if a >= warmup:
+                    waits.append(depart - a)
+    return served, (math.fsum(waits) / len(waits) if waits else float("nan"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), n_slots=st.integers(1, 300),
+       n_cells=st.integers(1, 40), load=st.floats(0.0, 1.6),
+       period=st.floats(0.05, 20.0),
+       warmup_fraction=st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+def test_simulate_cells_matches_fifo_oracle(seed, n_slots, n_cells, load,
+                                            period, warmup_fraction):
+    cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1.0, n_slots=n_slots,
+                     n_sample_cells=n_cells, seed=seed,
+                     warmup_fraction=warmup_fraction)
+    cell_rate = load / period
+    served, mean_t = _fifo_oracle(cfg, period, cell_rate)
+    got = _simulate_cells(cfg, period, cell_rate, load)
+    assert got.served == served
+    if math.isnan(mean_t):
+        assert math.isnan(got.mean_system_time)
+    else:
+        assert got.mean_system_time == pytest.approx(mean_t, rel=1e-12)
