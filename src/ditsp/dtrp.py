@@ -11,6 +11,7 @@ and a divergence flag alongside the time averages.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,14 @@ X_FACTOR_3D = 3328.0 * math.pi / 2048.0
 C_PRINTED_2D = 0.5241
 C_PRINTED_3D = 0.1615
 
+# _simulate_cells works on blocks of consecutive cells with at least this many
+# arrivals: enough to spread numpy's per-call cost over many cells, few enough
+# that a block's temporaries stay in cache
+_BLOCK_ARRIVALS = 16384
+# bit shift that lifts each cell of a block above the previous one in the
+# single running maximum of _fifo_slots
+_LIFT_BITS = 40
+
 
 @dataclass(frozen=True)
 class PolicyTuning:
@@ -52,6 +61,7 @@ def _slot_overhead(x: float) -> float:
     return 1.0 + x / (2.0 * (1.0 - x))
 
 
+@functools.cache
 def tune_policy(dim: int) -> PolicyTuning:
     """Minimize the heavy-load system-time coefficient over slot utilization.
 
@@ -95,6 +105,21 @@ class DtrpConfig:
     warmup_fraction: float = 0.2
     seed: int = 0
 
+    def __post_init__(self):
+        if not all(math.isfinite(d) and d > 0 for d in self.dims):
+            raise ValueError(f"dims must be finite and positive, got {self.dims}")
+        # lam = 0 is allowed: no arrivals, NaN time averages
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if self.n_slots < 1:
+            raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
+        if self.n_sample_cells < 1:
+            raise ValueError(
+                f"n_sample_cells must be >= 1, got {self.n_sample_cells}")
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise ValueError("warmup_fraction must be in [0, 1), got "
+                             f"{self.warmup_fraction}")
+
 
 @dataclass
 class DtrpStats:
@@ -108,6 +133,7 @@ class DtrpStats:
     sweep_period: float
     cell_rate: float            # per-cell Poisson arrival rate
     little_residual: float      # |measured queue - lam * T| / (lam * T)
+    cell_clamped: bool = False  # cell held at its largest size, ell = 4 rho
 
 
 def _sweep_period_2d(ell: float, W: float, H: float, params: VehicleParams) -> float:
@@ -174,6 +200,54 @@ def _size_cell(config: DtrpConfig, x_target: float):
     return ell, period, rate, rate * period
 
 
+def _fifo_slots(base: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """FIFO service slots of several cells' queues at once.
+
+    ``base`` holds each arrival's first slot at or after its arrival,
+    arrivals sorted by (cell, time) with cell c in ``base[starts[c]:
+    starts[c+1]]``.  Within a cell the k-th arrival leaves at slot
+    ``k + max(base[i] - i for i <= k)``; one running maximum serves every
+    cell because cell c's values are lifted by ``c << _LIFT_BITS``, above all
+    of cell c-1's.  ``base - k`` lies in ``(-n_arr, n_slots + 1]``, so this is
+    exact while ``n_slots`` and the arrivals of one cell stay below
+    ``2**(_LIFT_BITS - 1)`` and the cell count below ``2**(63 - _LIFT_BITS)``;
+    a block of simulated cells is far below all three.
+    """
+    # base[i] - k + (c << _LIFT_BITS) = base[i] + shift[i], k = i - starts[c]
+    rank = np.arange(len(starts) - 1, dtype=np.int64) << _LIFT_BITS
+    shift = np.repeat(rank + starts[:-1], np.diff(starts))
+    shift -= np.arange(len(base), dtype=np.int64)
+    run = np.maximum.accumulate(base + shift)
+    run -= shift
+    return run
+
+
+def _draw_blocks(config: DtrpConfig, period: float, cell_rate: float):
+    """Each sample cell's slot offset and sorted arrivals, drawn cell after
+    cell from one substream, grouped into blocks of consecutive cells with
+    arrivals that hold at least ``_BLOCK_ARRIVALS`` arrivals (the last block
+    fewer).  Yields ``(cells, offsets, arrivals)`` lists."""
+    horizon = config.n_slots * period
+    rng = substream(config.seed, 7)
+    cells, offsets, arrivals, n_block = [], [], [], 0
+    for cell in range(config.n_sample_cells):
+        offset = rng.uniform(0.0, period)
+        n_arr = rng.poisson(cell_rate * horizon)
+        if n_arr == 0:
+            continue
+        cells.append(cell)
+        offsets.append(offset)
+        arr = rng.uniform(0.0, horizon, size=n_arr)
+        arr.sort()
+        arrivals.append(arr)
+        n_block += n_arr
+        if n_block >= _BLOCK_ARRIVALS:
+            yield cells, offsets, arrivals
+            cells, offsets, arrivals, n_block = [], [], [], 0
+    if cells:
+        yield cells, offsets, arrivals
+
+
 def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
                     utilization: float, trace: list | None = None,
                     trace_cells: int = 3) -> DtrpStats:
@@ -183,53 +257,62 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     the slot serves the oldest target that arrived before it (FIFO within a
     cell), so the k-th arrival departs at slot ``max(first slot after its
     arrival, departure slot of arrival k-1 + 1)`` — a running maximum.
+
+    Cells are simulated in blocks of about ``_BLOCK_ARRIVALS`` arrivals
+    (:func:`_draw_blocks`): each block's arrivals, concatenated in (cell,
+    time) order, go through whole-array passes, and one running maximum
+    gives every cell's slots (:func:`_fifo_slots`).  Blocks keep the
+    temporaries in cache; one pass over a whole long run is slower.  Sums
+    that feed the statistics are taken per cell, in cell order, so the
+    results do not depend on the block size.  The trace holds each of the
+    first ``trace_cells`` cells' first 50 slots and first 200 arrivals with
+    their services.
     """
     horizon = config.n_slots * period
     warmup = config.warmup_fraction * horizon
-    rng = substream(config.seed, 7)
+    mid = (warmup + horizon) / 2.0
+    # the divergence heuristic reads the late and early means only here
+    late_early = 0.9 < utilization < 1.0
     times = []
     served_total = 0
     occupancy = 0.0  # integral of queue length over the post-warmup window
     late_sum = late_n = early_sum = early_n = 0.0
-    next_target_id = 0
-    for cell in range(config.n_sample_cells):
-        offset = rng.uniform(0.0, period)
-        n_arr = rng.poisson(cell_rate * horizon)
-        if n_arr == 0:
-            continue
-        arrivals = np.sort(rng.uniform(0.0, horizon, size=n_arr))
-        base = np.floor((arrivals - offset) / period).astype(np.int64) + 1
+    first_target_id = 0
+    for cells, offsets, arrs in _draw_blocks(config, period, cell_rate):
+        arrivals = np.concatenate(arrs)
+        starts = np.zeros(len(arrs) + 1, dtype=np.int64)
+        np.cumsum([len(a) for a in arrs], out=starts[1:])
+        offset = np.repeat(offsets, np.diff(starts))
+        first = arrivals - offset
+        first /= period
+        base = np.floor(first, out=first).astype(np.int64)
+        base += 1
         np.maximum(base, 0, out=base)
-        k = np.arange(n_arr)
-        slot = k + np.maximum.accumulate(base - k)
-        depart = offset + slot * period
-        if trace is not None and cell < trace_cells:
-            for k_slot in range(min(config.n_slots, 50)):
-                trace.append({"t": offset + k_slot * period,
-                              "event": "sweep_start", "target_id": None,
-                              "cell_index": cell})
-            for i in range(min(n_arr, 200)):
-                tid = next_target_id + i
-                trace.append({"t": float(arrivals[i]), "event": "arrival",
-                              "target_id": tid, "cell_index": cell})
-                if depart[i] < horizon:
-                    trace.append({"t": float(depart[i]), "event": "service",
-                                  "target_id": tid, "cell_index": cell})
-        next_target_id += n_arr
+        depart = offset + _fifo_slots(base, starts) * period
+        bounds = starts.tolist()
+        if trace is not None and cells[0] < trace_cells:
+            _trace_block(trace, cells, offsets, bounds, arrivals, depart,
+                         first_target_id, period, horizon,
+                         min(config.n_slots, 50), trace_cells)
+        first_target_id += len(arrivals)
         in_run = depart < horizon
         served_total += int(np.count_nonzero(in_run))
         keep = in_run & (arrivals >= warmup)
-        waits = depart[keep] - arrivals[keep]
-        times.append(waits)
+        waits = depart - arrivals
+        times.append(waits[keep])
         span = np.minimum(depart, horizon) - np.maximum(arrivals, warmup)
-        occupancy += float(np.clip(span, 0.0, None).sum())
-        mid = (warmup + horizon) / 2.0
-        late = keep & (arrivals >= mid)
-        early = keep & (arrivals < mid)
-        late_sum += float(np.sum(depart[late] - arrivals[late]))
-        late_n += int(np.count_nonzero(late))
-        early_sum += float(np.sum(depart[early] - arrivals[early]))
-        early_n += int(np.count_nonzero(early))
+        np.maximum(span, 0.0, out=span)
+        for s, e in zip(bounds, bounds[1:]):
+            occupancy += float(span[s:e].sum())
+        if late_early:
+            late = keep & (arrivals >= mid)
+            early = keep & (arrivals < mid)
+            for s, e in zip(bounds, bounds[1:]):
+                w, lt, er = waits[s:e], late[s:e], early[s:e]
+                late_sum += float(np.sum(w[lt]))
+                late_n += int(np.count_nonzero(lt))
+                early_sum += float(np.sum(w[er]))
+                early_n += int(np.count_nonzero(er))
 
     if times:
         all_waits = np.concatenate(times)
@@ -242,7 +325,7 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     residual = (abs(queue_per_cell - expected_queue) / expected_queue
                 if expected_queue and expected_queue > 0 else float("nan"))
     divergent = utilization >= 1.0
-    if not divergent and early_n > 0 and late_n > 0 and utilization > 0.9:
+    if not divergent and early_n > 0 and late_n > 0 and late_early:
         divergent = (late_sum / late_n) > 1.5 * (early_sum / early_n)
     # whole-system queue length via Little's law on the total stream
     mean_queue = config.lam * mean_t if mean_t == mean_t else float("nan")
@@ -252,22 +335,50 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
         sweep_period=period, cell_rate=cell_rate, little_residual=residual)
 
 
+def _trace_block(trace, cells, offsets, bounds, arrivals, depart,
+                 first_target_id, period, horizon, n_slots, trace_cells):
+    """Append the events of a block's cells numbered below ``trace_cells``:
+    per cell its first ``n_slots`` slot starts, then its first 200 arrivals,
+    each followed by its service if that falls within the horizon."""
+    for i, cell in enumerate(cells):
+        if cell >= trace_cells:
+            break
+        offset = offsets[i]
+        for k_slot in range(n_slots):
+            trace.append({"t": offset + k_slot * period,
+                          "event": "sweep_start", "target_id": None,
+                          "cell_index": cell})
+        s = bounds[i]
+        e = min(bounds[i + 1], s + 200)
+        tid = first_target_id + s
+        for a, d in zip(arrivals[s:e].tolist(), depart[s:e].tolist()):
+            trace.append({"t": a, "event": "arrival", "target_id": tid,
+                          "cell_index": cell})
+            if d < horizon:
+                trace.append({"t": d, "event": "service", "target_id": tid,
+                              "cell_index": cell})
+            tid += 1
+
+
+def _run_policy(config: DtrpConfig, dim: int, trace: list | None) -> DtrpStats:
+    ell, period, rate, x = _size_cell(config, tune_policy(dim).x_star)
+    stats = _simulate_cells(config, period, rate, x, trace=trace)
+    stats.cell_clamped = ell == 4.0 * config.params.turn_radius
+    return stats
+
+
 def run_bta(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
     """Bead-sweep repair policy in a rectangle."""
     if len(config.dims) != 2:
         raise ValueError("run_bta requires dims = (W, H)")
-    tuning = tune_policy(2)
-    _, period, rate, x = _size_cell(config, tuning.x_star)
-    return _simulate_cells(config, period, rate, x, trace=trace)
+    return _run_policy(config, 2, trace)
 
 
 def run_cca(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
     """Cylinder-sweep repair policy in a box."""
     if len(config.dims) != 3:
         raise ValueError("run_cca requires dims = (W, H, D)")
-    tuning = tune_policy(3)
-    _, period, rate, x = _size_cell(config, tuning.x_star)
-    return _simulate_cells(config, period, rate, x, trace=trace)
+    return _run_policy(config, 3, trace)
 
 
 def predicted_system_time(dim: int, dims: tuple, params: VehicleParams,

@@ -118,6 +118,47 @@ def test_divergence_flag_when_overloaded():
     assert st.divergent
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_sample_cells", 0), ("n_slots", 0), ("warmup_fraction", 1.0),
+    ("warmup_fraction", -0.1), ("warmup_fraction", float("nan")),
+    ("lam", float("nan")), ("lam", -1.0), ("lam", float("inf")),
+    ("dims", (0.0, 1.0)), ("dims", (1.0, -1.0)), ("dims", (1.0, 1.0, 0.0)),
+    ("dims", (float("nan"), 1.0)),
+])
+def test_config_rejects_bad_values(field, value):
+    kwargs = {"dims": (1.0, 1.0), "params": SLOW, "lam": 20.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        DtrpConfig(**kwargs)
+
+
+def test_zero_rate_gives_nan_statistics():
+    st = run_bta(DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=0.0,
+                            n_slots=50, n_sample_cells=20))
+    assert st.served == 0
+    assert math.isnan(st.mean_system_time) and math.isnan(st.mean_queue_len)
+    assert st.cell_clamped
+
+
+def test_cell_clamped_reported():
+    light = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1e-3, n_slots=50,
+                       n_sample_cells=20)
+    heavy = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=20.0, n_slots=50,
+                       n_sample_cells=20)
+    assert run_bta(light).cell_clamped
+    assert not run_bta(heavy).cell_clamped
+    cube = DtrpConfig(dims=(1.0, 1.0, 1.0), params=SLOW, lam=1e-3,
+                      n_slots=50, n_sample_cells=20)
+    assert run_cca(cube).cell_clamped
+    assert not run_cca(DtrpConfig(dims=(1.0, 1.0, 1.0), params=SLOW,
+                                  lam=20.0, n_slots=50,
+                                  n_sample_cells=20)).cell_clamped
+
+
+def test_tune_policy_is_memoised():
+    assert tune_policy(2) is tune_policy(2)
+    assert tune_policy(3) is not tune_policy(2)
+
+
 def test_dim_checks():
     with pytest.raises(ValueError):
         run_bta(DtrpConfig(dims=(1.0, 1.0, 1.0), params=SLOW, lam=1.0))
