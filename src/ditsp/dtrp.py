@@ -203,15 +203,16 @@ def _size_cell(config: DtrpConfig, x_target: float):
 def _fifo_slots(base: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """FIFO service slots of several cells' queues at once.
 
-    ``base`` holds each arrival's first slot at or after its arrival,
+    ``base`` holds each arrival's first slot after its arrival, the
     arrivals sorted by (cell, time) with cell c in ``base[starts[c]:
     starts[c+1]]``.  Within a cell the k-th arrival leaves at slot
     ``k + max(base[i] - i for i <= k)``; one running maximum serves every
     cell because cell c's values are lifted by ``c << _LIFT_BITS``, above all
-    of cell c-1's.  ``base - k`` lies in ``(-n_arr, n_slots + 1]``, so this is
-    exact while ``n_slots`` and the arrivals of one cell stay below
-    ``2**(_LIFT_BITS - 1)`` and the cell count below ``2**(63 - _LIFT_BITS)``;
-    a block of simulated cells is far below all three.
+    of cell c-1's.  ``base - k`` lies in ``(-n_arr, n_slots + 1]``, so the
+    cells stay apart while ``n_slots`` plus one cell's arrivals stays below
+    ``2**_LIFT_BITS``, and int64 holds the lift while the cell count stays
+    below ``2**(63 - _LIFT_BITS)``; a block holds at most ``_BLOCK_ARRIVALS``
+    cells.
     """
     # base[i] - k + (c << _LIFT_BITS) = base[i] + shift[i], k = i - starts[c]
     rank = np.arange(len(starts) - 1, dtype=np.int64) << _LIFT_BITS
@@ -231,13 +232,16 @@ def _draw_blocks(config: DtrpConfig, period: float, cell_rate: float):
     rng = substream(config.seed, 7)
     cells, offsets, arrivals, n_block = [], [], [], 0
     for cell in range(config.n_sample_cells):
-        offset = rng.uniform(0.0, period)
+        # rng.random() * x is rng.uniform(0.0, x) bit for bit (that computes
+        # 0.0 + x * u from the same double u), at a third of the call cost
+        offset = rng.random() * period
         n_arr = rng.poisson(cell_rate * horizon)
         if n_arr == 0:
             continue
         cells.append(cell)
         offsets.append(offset)
-        arr = rng.uniform(0.0, horizon, size=n_arr)
+        arr = rng.random(n_arr)
+        arr *= horizon
         arr.sort()
         arrivals.append(arr)
         n_block += n_arr
@@ -283,11 +287,12 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
         starts = np.zeros(len(arrs) + 1, dtype=np.int64)
         np.cumsum([len(a) for a in arrs], out=starts[1:])
         offset = np.repeat(offsets, np.diff(starts))
+        # first slot after each arrival; arrivals are >= 0 and offsets are
+        # below one period, so the quotient is > -1 and base >= 0
         first = arrivals - offset
         first /= period
         base = np.floor(first, out=first).astype(np.int64)
         base += 1
-        np.maximum(base, 0, out=base)
         depart = offset + _fifo_slots(base, starts) * period
         bounds = starts.tolist()
         if trace is not None and cells[0] < trace_cells:
@@ -300,7 +305,8 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
         keep = in_run & (arrivals >= warmup)
         waits = depart - arrivals
         times.append(waits[keep])
-        span = np.minimum(depart, horizon) - np.maximum(arrivals, warmup)
+        span = np.minimum(depart, horizon)
+        span -= np.maximum(arrivals, warmup)
         np.maximum(span, 0.0, out=span)
         for s, e in zip(bounds, bounds[1:]):
             occupancy += float(span[s:e].sum())

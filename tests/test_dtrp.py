@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
@@ -227,6 +227,15 @@ def _pinned_case(name, tmp_path):
         out = _simulate_cells(cfg, period=0.5, cell_rate=1.9,
                               utilization=0.95)
         return repr(_stats_tuple(out))
+    if name == "late-early-fires":
+        # starting empty, the queue still grows: the late mean exceeds 1.5
+        # times the early one and the heuristic flags the run
+        cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1.0, n_slots=400,
+                         n_sample_cells=150, seed=22, warmup_fraction=0.0)
+        out = _simulate_cells(cfg, period=1.0, cell_rate=0.98,
+                              utilization=0.98)
+        assert out.divergent
+        return repr(_stats_tuple(out))
     if name == "divergent":
         # the queue grows, so the last traced arrivals are never served
         cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1.0, n_slots=100,
@@ -256,6 +265,8 @@ PINNED_DTRP = {
         "51ce536e5435f9aea070d5b67babc1765973cd07c755d79696a8ba2f040133d0",
     "late-early":
         "fc4279474ae62e1147e8c86cde4898267e1f48c0f595b8c3634827f10b69d021",
+    "late-early-fires":
+        "99e322abcb39118032673589b7444b031b4bf94b1daf359c9acb17d7eb8efd23",
     "divergent":
         "fedfa966e17aad1ce605afa13f763b2d7c03f5fa0454011dbf990600272c99a3",
     "sparse":
@@ -294,7 +305,9 @@ def _fifo_oracle(cfg, period, cell_rate):
     return served, (math.fsum(waits) / len(waits) if waits else float("nan"))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
+@example(seed=5, n_slots=300, n_cells=120, load=0.95, period=0.7,
+         warmup_fraction=0.2)  # about 34k arrivals: several blocks
 @given(seed=st.integers(0, 2**31), n_slots=st.integers(1, 300),
        n_cells=st.integers(1, 40), load=st.floats(0.0, 1.6),
        period=st.floats(0.05, 20.0),
