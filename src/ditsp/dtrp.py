@@ -283,10 +283,10 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     late_sum = late_n = early_sum = early_n = 0.0
     first_target_id = 0
     for cells, offsets, arrs in _draw_blocks(config, period, cell_rate):
+        counts = [len(a) for a in arrs]
+        starts = np.cumsum([0] + counts)
         arrivals = np.concatenate(arrs)
-        starts = np.zeros(len(arrs) + 1, dtype=np.int64)
-        np.cumsum([len(a) for a in arrs], out=starts[1:])
-        offset = np.repeat(offsets, np.diff(starts))
+        offset = np.repeat(offsets, counts)
         # first slot after each arrival; arrivals are >= 0 and offsets are
         # below one period, so the quotient is > -1 and base >= 0
         first = arrivals - offset
