@@ -139,19 +139,14 @@ def test_zero_rate_gives_nan_statistics():
     assert st.cell_clamped
 
 
-def test_cell_clamped_reported():
-    light = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1e-3, n_slots=50,
-                       n_sample_cells=20)
-    heavy = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=20.0, n_slots=50,
-                       n_sample_cells=20)
-    assert run_bta(light).cell_clamped
-    assert not run_bta(heavy).cell_clamped
-    cube = DtrpConfig(dims=(1.0, 1.0, 1.0), params=SLOW, lam=1e-3,
-                      n_slots=50, n_sample_cells=20)
-    assert run_cca(cube).cell_clamped
-    assert not run_cca(DtrpConfig(dims=(1.0, 1.0, 1.0), params=SLOW,
-                                  lam=20.0, n_slots=50,
-                                  n_sample_cells=20)).cell_clamped
+@pytest.mark.parametrize("run, dims", [(run_bta, (1.0, 1.0)),
+                                       (run_cca, (1.0, 1.0, 1.0))])
+def test_cell_clamped_reported(run, dims):
+    def stats(lam):
+        return run(DtrpConfig(dims=dims, params=SLOW, lam=lam, n_slots=50,
+                              n_sample_cells=20))
+    assert stats(1e-3).cell_clamped
+    assert not stats(20.0).cell_clamped
 
 
 def test_tune_policy_is_memoised():
