@@ -16,6 +16,11 @@ from ditsp.vehicle import VehicleParams
 # rearranging the stochastic tour lower bound ((5/6)**5 * 20 = 15625/1944)
 DTRP3_LOWER_PRINTED = 7813.0 / 972.0
 DTRP3_LOWER_DERIVED = 15625.0 / 1944.0
+# heavy-load system-time coefficients of the sweep policies (of lambda^2 in
+# 2D, lambda^4 in 3D), as printed; the values their derivations give are
+# dtrp.tune_policy(d).coefficient (about 70.55 and 1.64e7)
+DTRP2_UPPER_PRINTED = 70.5
+DTRP3_UPPER_PRINTED = 2e7
 
 
 def tour_lower_2d(W: float, H: float, params: VehicleParams, n: int) -> float:
@@ -72,15 +77,16 @@ def dtrp_lower_printed_3d(dims: tuple, params: VehicleParams) -> float:
 def dtrp_upper(dim: int, dims: tuple, params: VehicleParams) -> float:
     """Coefficient of lambda^2 / lambda^4 in the system-time upper bound.
 
-    2D: 70.5 * WH/(rv rc) * (1 + 7 pi rv^2/(3 W rc))^3.
-    3D: 2e7 * WHD/(rv rc^2) * (1 + 7 pi rv^2/(3 W rc))^5.
+    2D: DTRP2_UPPER_PRINTED * WH/(rv rc) * (1 + 7 pi rv^2/(3 W rc))^3.
+    3D: DTRP3_UPPER_PRINTED * WHD/(rv rc^2) * (1 + 7 pi rv^2/(3 W rc))^5.
     """
+    pen = turn_penalty(dims[0], params)
     if dim == 2:
         W, H = dims
-        return 70.5 * W * H / (params.r_vel * params.r_ctr) * turn_penalty(W, params) ** 3
+        return DTRP2_UPPER_PRINTED * W * H / (params.r_vel * params.r_ctr) * pen**3
     if dim == 3:
         W, H, D = dims
-        return 2e7 * W * H * D / (params.r_vel * params.r_ctr**2) * turn_penalty(W, params) ** 5
+        return DTRP3_UPPER_PRINTED * W * H * D / (params.r_vel * params.r_ctr**2) * pen**5
     raise ValueError("dim must be 2 or 3")
 
 

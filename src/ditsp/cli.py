@@ -91,8 +91,11 @@ def cmd_dtrp(args) -> int:
     ok = True
     trace = [] if args.trace else None
     for seed in range(args.seeds):
-        config = DtrpConfig(dims=dims, params=_params(args), lam=args.lam,
-                            n_slots=args.horizon, seed=args.seed + seed)
+        try:
+            config = DtrpConfig(dims=dims, params=_params(args), lam=args.lam,
+                                n_slots=args.horizon, seed=args.seed + seed)
+        except ValueError as err:
+            raise SystemExit(f"dtrp: {err}") from None
         stats = run(config, trace=trace if seed == 0 else None)
         ok = ok and not stats.divergent
         rows.append([args.policy, args.lam, seed, stats.mean_system_time,

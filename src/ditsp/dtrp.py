@@ -19,15 +19,18 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from ditsp.bounds import turn_penalty
-from ditsp.geometry import BeadSpec, CylinderSpec, bead_area, cylinder_volume
+from ditsp.geometry import (SUBPHASE_EXPONENTS, BeadGrid, BeadSpec, CylinderGrid,
+                            CylinderSpec, bead_area, cylinder_volume)
+from ditsp.planners import bead_sweep, cylinder_sweep
 from ditsp.rng import substream
-from ditsp.vehicle import VehicleParams, u_turn_length
+from ditsp.vehicle import VehicleParams
 
-# extra sweep length of one cell-enlargement cycle relative to its first
-# sub-phase (coefficients 1024, 1024, 512, 512, 256 in units of 1/1024)
-CYCLE_FACTOR_3D = 3328.0 / 1024.0
-# utilization per unit (lam * ell / a) in 3D: (pi/2) * CYCLE_FACTOR_3D
-X_FACTOR_3D = 3328.0 * math.pi / 2048.0
+# sweep length of one cell-enlargement cycle (five sub-phases) relative to its
+# first sub-phase: aggregating 2**b rows and 2**c layers divides the rows
+# swept by 2**(b+c), so 1 + 1 + 1/2 + 1/2 + 1/4 = 3.25 (3328/1024)
+CYCLE_FACTOR_3D = sum(2.0 ** -(b + c) for _, b, c in SUBPHASE_EXPONENTS)
+# utilization per unit (lam * ell / a) in 3D
+X_FACTOR_3D = math.pi / 2.0 * CYCLE_FACTOR_3D
 
 # cell-size constants as printed alongside the policies (C = lam * ell in
 # units of the turn-adjusted speed a)
@@ -83,9 +86,10 @@ def tune_policy(dim: int) -> PolicyTuning:
         coeff_printed = 16.0 * g(c_printed)
     else:
         c_over_a = x_star / X_FACTOR_3D
-        coefficient = 3328.0 * X_FACTOR_3D**4 * float(res.fun)
+        budget = 1024.0 * CYCLE_FACTOR_3D  # the 3328 sub-phase budget
+        coefficient = budget * X_FACTOR_3D**4 * float(res.fun)
         c_printed = C_PRINTED_3D
-        coeff_printed = 3328.0 * X_FACTOR_3D**4 * g(c_printed * X_FACTOR_3D)
+        coeff_printed = budget * X_FACTOR_3D**4 * g(c_printed * X_FACTOR_3D)
     return PolicyTuning(
         dim=dim, x_star=x_star, c_over_a=c_over_a, coefficient=coefficient,
         c_printed=c_printed,
@@ -108,6 +112,9 @@ class DtrpConfig:
     def __post_init__(self):
         if not all(math.isfinite(d) and d > 0 for d in self.dims):
             raise ValueError(f"dims must be finite and positive, got {self.dims}")
+        # the cell grids need W >= H (>= D)
+        if any(a < b for a, b in zip(self.dims, self.dims[1:])):
+            raise ValueError(f"dims must be ordered W >= H (>= D), got {self.dims}")
         # lam = 0 is allowed: no arrivals, NaN time averages
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
@@ -136,56 +143,30 @@ class DtrpStats:
     cell_clamped: bool = False  # cell held at its largest size, ell = 4 rho
 
 
-def _sweep_period_2d(ell: float, W: float, H: float, params: VehicleParams) -> float:
-    """Time of one full first-phase bead sweep at the speed cap."""
-    s = params.r_vel
-    rho = params.turn_radius
-    spec = BeadSpec.create(rho, ell)
-    n_rows = int(math.floor(2.0 * H / spec.w)) + 3  # matches BeadGrid row span
-    pass_len = W + 2.0 * ell
-    ut = u_turn_length(rho) + spec.w / 2.0
-    closing = W + H + 2.0 * math.pi * rho + 2.0 * ell
-    return (n_rows * (pass_len + ut) + closing) / s
-
-
-def _sweep_period_3d(ell: float, W: float, H: float, D: float,
-                     params: VehicleParams) -> float:
-    """Time of one full cell-enlargement cycle (five sub-phases) at the speed cap."""
-    s = params.r_vel
-    rho = params.turn_radius
-    spec = CylinderSpec.create(rho, ell)
-    n_rows = int(math.floor(2.0 * H / spec.w)) + 2
-    n_layers = int(math.floor(4.0 * D / spec.w)) + 2
-    row_len = 2.0 * (W + 2.0 * ell) + u_turn_length(rho) + ell / 2.0
-    ut_row = u_turn_length(rho) + spec.w / 2.0
-    ut_layer = u_turn_length(rho) + spec.w / 4.0
-    closing = W + H + D + 2.0 * math.pi * rho + 2.0 * ell
-    base = n_layers * (n_rows * (row_len + ut_row) + ut_layer) + closing
-    return CYCLE_FACTOR_3D * base / s
-
-
 def _size_cell(config: DtrpConfig, x_target: float):
     """Cell length whose measured slot utilization equals ``x_target``.
 
-    Returns ``(ell, period, cell_rate, utilization)``; if even the largest
-    admissible cell (ell = 4 rho) cannot reach the target, it is used as is.
+    The period is one full sweep of the cell's grid at the speed cap: the
+    phase-1 bead sweep in 2D, and in 3D ``CYCLE_FACTOR_3D`` times the sweep
+    of every row of every layer of the cylinder covering, one
+    cell-enlargement cycle.  Returns ``(ell, period, cell_rate,
+    utilization)``; if even the largest admissible cell (ell = 4 rho) cannot
+    reach the target, it is used as is.
     """
     params = config.params
     rho = params.turn_radius
     dims = config.dims
+    measure = math.prod(dims)  # area or volume
 
     def measured(ell):
         if len(dims) == 2:
-            W, H = dims
             spec = BeadSpec.create(rho, ell)
-            rate = config.lam * bead_area(spec) / (W * H)
-            period = _sweep_period_2d(ell, W, H, params)
+            cell, sweep = bead_area(spec), bead_sweep(BeadGrid(*dims, spec), 1).length
         else:
-            W, H, D = dims
             spec = CylinderSpec.create(rho, ell)
-            rate = config.lam * cylinder_volume(spec) / (W * H * D)
-            period = _sweep_period_3d(ell, W, H, D, params)
-        return rate, period
+            cell = cylinder_volume(spec)
+            sweep = CYCLE_FACTOR_3D * cylinder_sweep(CylinderGrid(*dims, spec)).length
+        return config.lam * cell / measure, sweep / params.r_vel
 
     def excess(ell):
         rate, period = measured(ell)

@@ -85,12 +85,11 @@ def run_trial(config: ExperimentConfig, n: int, seed: int) -> TrialResult:
         tour = stop_go_stop(pset, params, seed=seed)
         leftover, phases = 0, 0
     elif config.algo == "rec_bta":
-        tour, reports = rec_bta(pset, params, seed=seed, W=dims[0], H=dims[1])
+        tour, reports = rec_bta(pset, params, W=dims[0], H=dims[1])
         leftover = reports[-1].leftover_after
         phases = len(reports)
     else:
-        tour, reports = rec_cca(pset, params, seed=seed,
-                                W=dims[0], H=dims[1], D=dims[2])
+        tour, reports = rec_cca(pset, params, W=dims[0], H=dims[1], D=dims[2])
         leftover = reports[-1].leftover_after
         phases = len(reports)
     return TrialResult(algo=config.algo, n=n, seed=seed,

@@ -3,10 +3,13 @@ cylinder covering (3D).
 
 The recursive planners produce *accounted* tours: lengths are sums of the
 primitive closed forms (row pass, heading-reversal u-turn, tour closing)
-rather than synthesized curves.  Sweeps cover every (meta-)row intersecting
-the workspace, which keeps the per-phase lengths deterministic and preserves
-the even/odd phase-length relations used by the analysis.  Within any cell,
-targets are always served oldest first.
+rather than synthesized curves.  Each (sub-)phase is one :class:`Sweep`,
+defined once per grid type by :func:`bead_sweep` and :func:`cylinder_sweep`;
+the DTRP policies take their sweep periods from the same two functions.  Bead
+sweeps cover every meta-row intersecting the workspace, which keeps the
+per-phase lengths deterministic and preserves the even/odd phase-length
+relations used by the analysis; cylinder sweeps skip empty meta-rows.
+Within any cell, targets are always served oldest first.
 """
 
 from __future__ import annotations
@@ -190,21 +193,96 @@ def _serve_oldest_per_group(unserved_idx: np.ndarray, keys: np.ndarray) -> np.nd
     return unserved_idx[first]
 
 
-def _sweep_visit_order(served: np.ndarray, meta_row: np.ndarray, meta_col: np.ndarray,
-                       row_top: int, meta_layer: np.ndarray | None = None) -> np.ndarray:
-    """Order served targets top-to-down, serpentine within rows; with
-    ``meta_layer``, layer by layer first."""
-    rank = row_top - meta_row  # 0 for the top row
-    signed_col = np.where(rank % 2 == 0, meta_col, -meta_col)
-    sort_keys = (served, signed_col, rank)
-    if meta_layer is not None:
-        sort_keys += (meta_layer,)
-    order = np.lexsort(sort_keys)
-    return served[order]
+def _serve_and_order(unserved: np.ndarray, idx: np.ndarray, keys: np.ndarray,
+                     row_top: int):
+    """Mark the oldest target of each meta-cell served; return the served
+    targets in sweep order with their meta-cells.  ``keys`` holds ``[layer,]
+    row, col`` of each unserved target ``idx`` (ascending)."""
+    served = _serve_oldest_per_group(idx, keys)
+    unserved[served] = False
+    # the served targets in index order, with their own keys; swept layer by
+    # layer, rows from row_top down, serpentine within rows
+    sel = ~unserved[idx]
+    served, keys = idx[sel], keys[sel]
+    rank = row_top - keys[:, -2]  # 0 for the top row
+    signed_col = np.where(rank % 2 == 0, keys[:, -1], -keys[:, -1])
+    order = np.lexsort((served, signed_col, rank, *keys[:, :-2].T))
+    return served[order], keys[order]
 
 
-def rec_bta(pset: PointSet, params: VehicleParams, seed: int = 0,
-            W: float = 1.0, H: float = 1.0):
+def _cleanup_tail(pset, unserved, segments, visit_chunks, params) -> Tour:
+    """The sweeps' tour, completed by a greedy stop-go cleanup from the origin."""
+    leftover_idx = np.flatnonzero(unserved)
+    clean_segs, clean_order = greedy_cleanup(
+        pset.points[leftover_idx], np.zeros(pset.d), params)
+    segments.extend(clean_segs)
+    visit_chunks.append(leftover_idx[clean_order])
+    return Tour(segments=segments, visit_order=np.concatenate(visit_chunks))
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One (sub-)phase sweep: ``n_rows`` passes, each ended by a u-turn,
+    ``n_layers`` layer turns and a closing leg."""
+
+    n_rows: int
+    pass_len: float
+    turn_len: float
+    closing_len: float
+    n_layers: int = 0
+    layer_turn_len: float = 0.0
+
+    @property
+    def length(self) -> float:
+        # from the counts alone: cell sizing evaluates sweeps of far more rows
+        # than a segment list could hold
+        return (self.n_rows * (self.pass_len + self.turn_len)
+                + self.n_layers * self.layer_turn_len + self.closing_len)
+
+    def segments(self, speed: float) -> list:
+        """The primitives at ``speed``: rows, then layer turns, then closing."""
+        def seg(kind, length):
+            return Segment(kind, length, length / speed)
+        return ([seg("pass", self.pass_len), seg("u_turn", self.turn_len)] * self.n_rows
+                + [seg("u_turn", self.layer_turn_len)] * self.n_layers
+                + [seg("closing", self.closing_len)])
+
+
+def bead_sweep(grid: BeadGrid, phase: int) -> Sweep:
+    """Sweep of every meta-row of a bead tiling at recursive phase ``phase``."""
+    # passes reach one meta-cell past each end; u-turns step a meta-row pitch
+    vr, vc = (phase - 1) // 2, phase // 2
+    spec = grid.spec
+    meta_width = (1 << vc) * spec.ell
+    return Sweep(
+        n_rows=grid.meta_row_count(phase),
+        pass_len=grid.W + 2.0 * meta_width,
+        turn_len=u_turn_length(spec.rho) + (1 << vr) * spec.w / 2.0,
+        closing_len=grid.W + grid.H + 2.0 * math.pi * spec.rho + 2.0 * meta_width)
+
+
+def cylinder_sweep(grid: CylinderGrid, sub: int = 1, n_rows: int | None = None,
+                   n_layers: int | None = None) -> Sweep:
+    """Sweep of sub-phase ``sub`` over ``n_rows`` (layer, meta-row) pairs in
+    ``n_layers`` layers of a cylinder covering; by default every row of
+    every layer."""
+    # a row runs the width out and back, one meta-cylinder past each end;
+    # u-turns step a meta-row pitch, layer turns a meta-layer pitch
+    a, b, c = SUBPHASE_EXPONENTS[sub - 1]
+    n_rows = grid.n_rows * grid.n_layers if n_rows is None else n_rows
+    n_layers = grid.n_layers if n_layers is None else n_layers
+    spec = grid.spec
+    ell_m = (1 << a) * spec.ell
+    uturn = u_turn_length(spec.rho)
+    return Sweep(
+        n_rows=n_rows,
+        pass_len=2.0 * (grid.W + 2.0 * ell_m) + uturn + ell_m / 2.0,
+        turn_len=uturn + (1 << b) * spec.w / 2.0,
+        closing_len=grid.W + grid.H + grid.D + 2.0 * math.pi * spec.rho + 2.0 * ell_m,
+        n_layers=n_layers, layer_turn_len=uturn + (1 << c) * spec.w / 4.0)
+
+
+def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.0):
     """Recursive bead-tiling tour over a rectangle; returns (Tour, phase reports).
 
     The vehicle cruises at the speed cap during the recursive sweeps (turn
@@ -217,56 +295,34 @@ def rec_bta(pset: PointSet, params: VehicleParams, seed: int = 0,
     s = params.r_vel
     rho = s**2 / params.r_ctr
     ell, _ = ell_for_n(W, H, rho, n)
-    spec = BeadSpec.create(rho, ell)
-    grid = BeadGrid(W, H, spec)
+    grid = BeadGrid(W, H, BeadSpec.create(rho, ell))
     rows, cols = grid.cell_index(pset.points)
+    lo, hi = grid.col_range(0)
 
     n_phases = int(math.ceil(math.log2(n))) + 1 if n > 1 else 1
     unserved = np.ones(n, dtype=bool)
-    segments = []
-    reports = []
-    visit_chunks = []
-    uturn = u_turn_length(rho)
+    segments, reports, visit_chunks = [], [], []
 
     for phase in range(1, n_phases + 1):
-        vr = (phase - 1) // 2
-        vc = phase // 2
+        vr, vc = (phase - 1) // 2, phase // 2
         idx = np.flatnonzero(unserved)
-        mr = rows[idx] >> vr
-        mc = cols[idx] >> vc
-        served = _serve_oldest_per_group(idx, np.column_stack([mr, mc]))
-        unserved[served] = False
-        visit_chunks.append(_sweep_visit_order(
-            served, rows[served] >> vr, cols[served] >> vc, grid.row_max >> vr))
-
-        meta_width = (1 << vc) * ell
-        pitch = (1 << vr) * spec.w / 2.0
-        n_meta_rows = grid.meta_row_count(phase)
-        pass_len = W + 2.0 * meta_width
-        ut_len = uturn + pitch
-        close_len = W + H + 2.0 * math.pi * rho + 2.0 * meta_width
-        seg_pass = Segment("pass", pass_len, pass_len / s)
-        seg_ut = Segment("u_turn", ut_len, ut_len / s)
-        segments.extend([seg_pass, seg_ut] * n_meta_rows)
-        segments.append(Segment("closing", close_len, close_len / s))
-        lo, hi = grid.col_range(0)
+        order, _ = _serve_and_order(
+            unserved, idx, np.column_stack([rows[idx] >> vr, cols[idx] >> vc]),
+            grid.row_max >> vr)
+        visit_chunks.append(order)
+        sweep = bead_sweep(grid, phase)
+        segments.extend(sweep.segments(s))
         n_meta_cols = (hi >> vc) - (lo >> vc) + 1
-        length = n_meta_rows * (pass_len + ut_len) + close_len
         reports.append(PhaseReport(
             phase=phase, meta_size=1 << (phase - 1),
-            cells_traversed=n_meta_rows * n_meta_cols,
-            served=len(served), leftover_after=int(unserved.sum()), length=length))
+            cells_traversed=sweep.n_rows * n_meta_cols,
+            served=len(order), leftover_after=int(unserved.sum()),
+            length=sweep.length))
 
-    leftover_idx = np.flatnonzero(unserved)
-    clean_segs, clean_order = greedy_cleanup(
-        pset.points[leftover_idx], np.zeros(2), params)
-    segments.extend(clean_segs)
-    visit_chunks.append(leftover_idx[clean_order])
-    visit_order = np.concatenate(visit_chunks) if visit_chunks else np.array([], dtype=np.int64)
-    return Tour(segments=segments, visit_order=visit_order), reports
+    return _cleanup_tail(pset, unserved, segments, visit_chunks, params), reports
 
 
-def rec_cca(pset: PointSet, params: VehicleParams, seed: int = 0,
+def rec_cca(pset: PointSet, params: VehicleParams,
             W: float = 1.0, H: float = 1.0, D: float = 1.0):
     """Recursive cylinder-covering tour over a box; returns (Tour, phase reports).
 
@@ -283,65 +339,34 @@ def rec_cca(pset: PointSet, params: VehicleParams, seed: int = 0,
     ell0, _ = ell_for_n_3d(W, H, D, rho, n)
     n_phases = max(1, int(math.ceil((math.log2(n) + 7.0) / 5.0))) if n > 1 else 1
     unserved = np.ones(n, dtype=bool)
-    segments = []
-    reports = []
-    visit_chunks = []
-    uturn = u_turn_length(rho)
+    segments, reports, visit_chunks = [], [], []
 
     for phase in range(1, n_phases + 1):
         ell_p = min(2.0 ** (phase - 1) * ell0, 4.0 * rho)
-        spec = CylinderSpec.create(rho, ell_p)
-        grid = CylinderGrid(W, H, D, spec)
+        grid = CylinderGrid(W, H, D, CylinderSpec.create(rho, ell_p))
         idx_phase = np.flatnonzero(unserved)
         lay, row, col = grid.cell_index(pset.points[idx_phase])
-        w = spec.w
 
-        for sub in range(1, 6):
-            a, b, c = SUBPHASE_EXPONENTS[sub - 1]
+        for sub, (a, b, c) in enumerate(SUBPHASE_EXPONENTS, 1):
             still = unserved[idx_phase]
             idx = idx_phase[still]
             keys = np.column_stack([lay[still] >> c, row[still] >> b, col[still] >> a])
-            served = _serve_oldest_per_group(idx, keys)
-            unserved[served] = False
-            # the served targets in index order, with their own keys
-            sel = ~unserved[idx]
-            served_keys = keys[sel]
-            # layer-major, then rows top-to-down within layer
-            visit_chunks.append(_sweep_visit_order(
-                idx[sel], served_keys[:, 1], served_keys[:, 2],
-                grid.row_max >> b, meta_layer=served_keys[:, 0]))
-
+            order, served_keys = _serve_and_order(unserved, idx, keys,
+                                                  grid.row_max >> b)
+            visit_chunks.append(order)
             # only meta-rows that still hold unserved targets are swept;
             # empty cylinders need no pass.  Every occupied meta-cylinder
             # serves one target, so the served targets' keys name the
             # occupied (layer, row) pairs and layers
-            n_occ_rows = len(np.unique(_group_key(served_keys[:, :2])))
-            n_occ_layers = len(np.unique(served_keys[:, 0]))
-
-            ell_m = (1 << a) * ell_p
-            row_len = 2.0 * (W + 2.0 * ell_m) + uturn + ell_m / 2.0
-            ut_row = uturn + (1 << b) * w / 2.0
-            ut_layer = uturn + (1 << c) * w / 4.0
-            close_len = W + H + D + 2.0 * math.pi * rho + 2.0 * ell_m
-            length = (n_occ_rows * (row_len + ut_row)
-                      + n_occ_layers * ut_layer + close_len)
-            seg_row = Segment("pass", row_len, row_len / s)
-            seg_ut = Segment("u_turn", ut_row, ut_row / s)
-            seg_lt = Segment("u_turn", ut_layer, ut_layer / s)
-            segments.extend([seg_row, seg_ut] * n_occ_rows)
-            segments.extend([seg_lt] * n_occ_layers)
-            segments.append(Segment("closing", close_len, close_len / s))
+            sweep = cylinder_sweep(
+                grid, sub, n_rows=len(np.unique(_group_key(served_keys[:, :2]))),
+                n_layers=len(np.unique(served_keys[:, 0])))
+            segments.extend(sweep.segments(s))
             n_meta_cols = (grid.n_cols - 1 >> a) + 1
             reports.append(PhaseReport(
                 phase=phase, meta_size=1 << (a + b + c),
-                cells_traversed=n_occ_rows * n_meta_cols,
-                served=len(served), leftover_after=int(unserved.sum()),
-                length=length, subphase=sub))
+                cells_traversed=sweep.n_rows * n_meta_cols,
+                served=len(order), leftover_after=int(unserved.sum()),
+                length=sweep.length, subphase=sub))
 
-    leftover_idx = np.flatnonzero(unserved)
-    clean_segs, clean_order = greedy_cleanup(
-        pset.points[leftover_idx], np.zeros(3), params)
-    segments.extend(clean_segs)
-    visit_chunks.append(leftover_idx[clean_order])
-    visit_order = np.concatenate(visit_chunks) if visit_chunks else np.array([], dtype=np.int64)
-    return Tour(segments=segments, visit_order=visit_order), reports
+    return _cleanup_tail(pset, unserved, segments, visit_chunks, params), reports

@@ -99,6 +99,16 @@ def test_missing_depth_errors():
         main(["tour", "--dim", "3", "--algo", "reccca", "--n", "10"])
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--horizon", "0"], "n_slots"), (["--lambda", "nan"], "lam"),
+    (["--W", "0.5"], "dims")])
+def test_dtrp_bad_input_exits_with_one_line(flags, field):
+    with pytest.raises(SystemExit) as exc:
+        main(["dtrp"] + flags)
+    message = str(exc.value.code)
+    assert field in message and "\n" not in message
+
+
 @pytest.mark.parametrize("flag", [["--n=7"], ["--n", "7"]])
 def test_config_file_yields_to_flags(tmp_path, flag):
     cfgfile = tmp_path / "cfg.json"

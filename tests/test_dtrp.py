@@ -13,6 +13,7 @@ from ditsp.cli import main
 from ditsp.dtrp import (DtrpConfig, X_FACTOR_3D, _simulate_cells, _size_cell,
                         md1_system_time, predicted_system_time, run_bta,
                         run_cca, simulate_md1, tune_policy)
+from ditsp.geometry import CylinderGrid, CylinderSpec, bead_width
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
 
@@ -71,6 +72,30 @@ def test_size_cell_clamps_at_light_load():
     assert x < 0.7
 
 
+@pytest.mark.parametrize("dims, params, lam", [
+    ((1.0, 1.0, 1.0), SLOW, 20.0),
+    ((2.0, 1.0, 0.5), VehicleParams(0.5, 1.0), 5.0),
+])
+def test_3d_period_sweeps_the_cylinder_covering(dims, params, lam):
+    # one cell-enlargement cycle: 3.25 times a sweep of every row of every
+    # layer of the covering, floor(2H/w + 1/2) + 2 rows per layer and
+    # floor(4D/w) + 3 layers, written out without the sweep model
+    W, H, D = dims
+    ell, period, _, _ = _size_cell(DtrpConfig(dims=dims, params=params,
+                                              lam=lam), 0.7)
+    rho = params.turn_radius
+    w = bead_width(rho, ell)
+    rows = math.floor(2.0 * H / w + 0.5) + 2
+    layers = math.floor(4.0 * D / w) + 3
+    grid = CylinderGrid(W, H, D, CylinderSpec.create(rho, ell))
+    assert (grid.n_rows, grid.n_layers) == (rows, layers)
+    uturn = 7.0 * math.pi * rho / 3.0
+    row = 2.0 * (W + 2.0 * ell) + uturn + ell / 2.0 + uturn + w / 2.0
+    sweep = (rows * layers * row + layers * (uturn + w / 4.0)
+             + W + H + D + 2.0 * math.pi * rho + 2.0 * ell)
+    assert period == pytest.approx(3.25 * sweep / params.r_vel, rel=1e-12)
+
+
 def test_run_bta_stable_and_little_consistent():
     cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=20.0, n_slots=200,
                      n_sample_cells=800, seed=5)
@@ -123,7 +148,8 @@ def test_divergence_flag_when_overloaded():
     ("warmup_fraction", -0.1), ("warmup_fraction", float("nan")),
     ("lam", float("nan")), ("lam", -1.0), ("lam", float("inf")),
     ("dims", (0.0, 1.0)), ("dims", (1.0, -1.0)), ("dims", (1.0, 1.0, 0.0)),
-    ("dims", (float("nan"), 1.0)),
+    ("dims", (float("nan"), 1.0)), ("dims", (0.5, 1.0)),
+    ("dims", (1.0, 0.5, 0.7)),
 ])
 def test_config_rejects_bad_values(field, value):
     kwargs = {"dims": (1.0, 1.0), "params": SLOW, "lam": 20.0, field: value}
@@ -254,10 +280,13 @@ PINNED_DTRP = {
         "d9de8ea10ed85411067efc4e0b114579e7c227f0d35734564ff2ecb2df46f975",
     "bta-40":
         "f79622fbb5c6d9ec0ab3f7c0bf8d712200bc72f91076a45364b77df168a18a36",
+    # re-recorded when the 3D period began to sweep the cylinder covering's
+    # own rows and layers: the period moved by +1.4e-5 (relative), served
+    # counts did not
     "cca-20":
-        "99d267abcd232d8933d66976bced2a8dbc712a576fab2f79979c7003a15d66e0",
+        "373ae266b5a7863b6bfefdd08a5002ac5984901fcf0900c7bda951d92d07243b",
     "cca-40":
-        "51ce536e5435f9aea070d5b67babc1765973cd07c755d79696a8ba2f040133d0",
+        "4c72422efca18344ff40377aa07011d8fe063177bebf93a4c32cda16c5c404ed",
     "late-early":
         "fc4279474ae62e1147e8c86cde4898267e1f48c0f595b8c3634827f10b69d021",
     "late-early-fires":

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from ditsp.etsp import PointSet
 from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
                             cylinder_meta_index, ell_for_n, ell_for_n_3d)
-from ditsp.planners import (Segment, Tour, _serve_oldest_per_group,
-                            greedy_cleanup, rec_bta, rec_cca, stop_go_stop)
+from ditsp.planners import (Segment, Tour, _serve_oldest_per_group, bead_sweep,
+                            cylinder_sweep, greedy_cleanup, rec_bta, rec_cca,
+                            stop_go_stop)
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams, stop_go_time
 
@@ -190,6 +191,23 @@ def test_rec_cca_chunks_layer_major_top_down(params):
 def test_rec_cca_rejects_2d():
     with pytest.raises(ValueError):
         rec_cca(_uniform_pset(10, 11, d=2), PARAMS3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(W=st.floats(0.05, 20.0), h=st.floats(0.01, 1.0), d=st.floats(0.01, 1.0),
+       rho=st.floats(1e-3, 10.0), f=st.floats(1e-9, 1.0))
+def test_full_sweeps_reach_closed_form_lower_bounds(W, h, d, rho, f):
+    # W >= H >= D and ell in (0, 4 rho]: a full bead sweep passes the width
+    # at least 2H/w times; a full cylinder sweep runs at least 2H/w rows in
+    # each of at least 4D/w layers, each row out and back
+    H, ell = W * h, 4.0 * rho * f
+    D = H * d
+    bead = BeadSpec.create(rho, ell)
+    assert (bead_sweep(BeadGrid(W, H, bead), 1).length
+            >= (2.0 * H / bead.w) * W)
+    cyl = CylinderSpec.create(rho, ell)
+    assert (cylinder_sweep(CylinderGrid(W, H, D, cyl)).length
+            >= (2.0 * H / cyl.w) * (4.0 * D / cyl.w) * 2.0 * W)
 
 
 def test_tour_totals_are_segment_sums():
