@@ -8,12 +8,10 @@ simulator (:mod:`ditsp.dtrp`), closed-form performance bounds
 (:mod:`ditsp.harness`).
 """
 
-from ditsp.vehicle import VehicleParams, CruiseProfile, stop_go_time, cruise_profile, u_turn_length
+from ditsp.vehicle import VehicleParams, stop_go_time, u_turn_length
 
 __all__ = [
     "VehicleParams",
-    "CruiseProfile",
     "stop_go_time",
-    "cruise_profile",
     "u_turn_length",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ditsp.vehicle import VehicleParams
+from ditsp.vehicle import VehicleParams, u_turn_length
 
 # 3D dynamic lower-bound coefficient: printed value and the value obtained by
 # rearranging the stochastic tour lower bound ((5/6)**5 * 20 = 15625/1944)
@@ -37,12 +37,13 @@ def tour_lower_3d(W: float, H: float, D: float, params: VehicleParams, n: int) -
 
 
 def turn_penalty(W: float, params: VehicleParams) -> float:
-    """Constant-speed sweep overhead factor 1 + 7*pi*r_vel^2/(3*W*r_ctr)."""
-    return 1.0 + 7.0 * math.pi * params.r_vel**2 / (3.0 * W * params.r_ctr)
+    """Constant-speed sweep overhead factor: one u-turn per pass of width W,
+    1 + 7*pi*r_vel^2/(3*W*r_ctr)."""
+    return 1.0 + u_turn_length(params.turn_radius) / W
 
 
 def tour_upper_2d(W: float, H: float, params: VehicleParams, n: int) -> float:
-    """Recursive bead-tiling total-time upper bound: 24 (WH/(rv rc))^(1/3) (1+7 pi rv^2/(3W rc)) n^(2/3)."""
+    """Recursive bead-tiling total-time upper bound: 24 (WH/(rv rc))^(1/3) turn_penalty n^(2/3)."""
     _check_n(n)
     return (24.0 * (W * H / (params.r_vel * params.r_ctr)) ** (1 / 3)
             * turn_penalty(W, params) * n ** (2 / 3))
@@ -77,8 +78,8 @@ def dtrp_lower_printed_3d(dims: tuple, params: VehicleParams) -> float:
 def dtrp_upper(dim: int, dims: tuple, params: VehicleParams) -> float:
     """Coefficient of lambda^2 / lambda^4 in the system-time upper bound.
 
-    2D: DTRP2_UPPER_PRINTED * WH/(rv rc) * (1 + 7 pi rv^2/(3 W rc))^3.
-    3D: DTRP3_UPPER_PRINTED * WHD/(rv rc^2) * (1 + 7 pi rv^2/(3 W rc))^5.
+    2D: DTRP2_UPPER_PRINTED * WH/(rv rc) * turn_penalty^3.
+    3D: DTRP3_UPPER_PRINTED * WHD/(rv rc^2) * turn_penalty^5.
     """
     pen = turn_penalty(dims[0], params)
     if dim == 2:

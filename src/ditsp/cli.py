@@ -63,7 +63,10 @@ def _dims(args):
 
 
 def _params(args) -> VehicleParams:
-    return VehicleParams(r_vel=args.rvel, r_ctr=args.rctr)
+    try:
+        return VehicleParams(r_vel=args.rvel, r_ctr=args.rctr)
+    except ValueError as err:
+        raise SystemExit(f"{args.command}: {err}") from None
 
 
 def cmd_tour(args) -> int:

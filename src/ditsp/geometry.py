@@ -171,22 +171,28 @@ class BeadGrid:
                 yield row, col
 
     def meta_index(self, phase: int, row, col):
-        """Aggregate cell index to the meta-cell index of the given phase.
-
-        Phase ``i`` meta-cells group ``2**(i-1)`` neighboring beads: pairing
-        alternates horizontal (phase 2) then vertical (phase 3) and so on, so
-        odd-phase meta-cells are square blocks of ``2**(i-1)`` beads.
-        """
-        if phase < 1:
-            raise ValueError("phase must be >= 1")
-        vr = (phase - 1) // 2
-        vc = phase // 2
+        """Aggregate cell index to the meta-cell index of the given phase
+        (see :func:`bead_meta_exponents`)."""
+        vr, vc = bead_meta_exponents(phase)
         return np.asarray(row) >> vr, np.asarray(col) >> vc
 
     def meta_row_count(self, phase: int) -> int:
         """Number of meta-rows intersecting the rectangle at the given phase."""
-        vr = (phase - 1) // 2
+        vr, _ = bead_meta_exponents(phase)
         return (self.row_max >> vr) - (self.row_min >> vr) + 1
+
+
+def bead_meta_exponents(phase: int) -> tuple[int, int]:
+    """Aggregation exponents ``(rows, cols)`` of bead phase ``phase``: its
+    meta-cells are ``2**rows`` bead rows by ``2**cols`` bead columns.
+
+    Phase ``i`` meta-cells group ``2**(i-1)`` neighboring beads: pairing
+    alternates horizontal (phase 2) then vertical (phase 3) and so on, so
+    odd-phase meta-cells are square blocks of ``2**(i-1)`` beads.
+    """
+    if phase < 1:
+        raise ValueError("phase must be >= 1")
+    return (phase - 1) // 2, phase // 2
 
 
 class CylinderGrid:

@@ -1,15 +1,16 @@
 """Tour strategies: stop-go-stop, recursive bead tiling (2D), recursive
 cylinder covering (3D).
 
-The recursive planners produce *accounted* tours: lengths are sums of the
-primitive closed forms (row pass, heading-reversal u-turn, tour closing)
-rather than synthesized curves.  Each (sub-)phase is one :class:`Sweep`,
-defined once per grid type by :func:`bead_sweep` and :func:`cylinder_sweep`;
-the DTRP policies take their sweep periods from the same two functions.  Bead
-sweeps cover every meta-row intersecting the workspace, which keeps the
-per-phase lengths deterministic and preserves the even/odd phase-length
-relations used by the analysis; cylinder sweeps skip empty meta-rows.
-Within any cell, targets are always served oldest first.
+The recursive planners produce *accounted* tours rather than synthesized
+curves: a tour is one ``(length, duration)`` row per (sub-)phase sweep, whose
+length is the sweep's closed form (row passes, heading-reversal u-turns, tour
+closing), and one row per stop-go leg of the cleanup.  Each (sub-)phase is
+one :class:`Sweep`, defined once per grid type by :func:`bead_sweep` and
+:func:`cylinder_sweep`; the DTRP policies take their sweep periods from the
+same two functions.  Bead sweeps cover every meta-row intersecting the
+workspace, which keeps the per-phase lengths deterministic and preserves the
+even/odd phase-length relations used by the analysis; cylinder sweeps skip
+empty meta-rows.  Within any cell, targets are always served oldest first.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from ditsp.geometry import (
     BeadSpec,
     CylinderGrid,
     CylinderSpec,
+    bead_meta_exponents,
+    cylinder_meta_index,
     ell_for_n,
     ell_for_n_3d,
 )
@@ -38,29 +41,25 @@ from ditsp.vehicle import VehicleParams, stop_go_time, u_turn_length
 _KD_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One tour primitive with its length and traversal time."""
-
-    kind: str  # pass | u_turn | cell_arc | stop_go_leg | closing
-    length: float
-    duration: float
-
-
 @dataclass
 class Tour:
-    """Ordered primitive segments plus the order in which targets are served."""
+    """One ``(length, duration)`` row per sweep, then one per stop-go leg, as
+    an (m, 2) float array, plus the order in which targets are served."""
 
-    segments: list = field(default_factory=list)
+    segments: np.ndarray = field(default_factory=list)
     visit_order: np.ndarray = None
 
+    def __post_init__(self):
+        self.segments = np.asarray(self.segments, dtype=float).reshape(-1, 2)
+
+    # math.fsum is correctly rounded, so a total does not depend on row order
     @property
     def total_length(self) -> float:
-        return float(sum(s.length for s in self.segments))
+        return math.fsum(self.segments[:, 0].tolist())
 
     @property
     def total_time(self) -> float:
-        return float(sum(s.duration for s in self.segments))
+        return math.fsum(self.segments[:, 1].tolist())
 
 
 @dataclass
@@ -80,15 +79,17 @@ def stop_go_stop(pset: PointSet, params: VehicleParams, seed: int = 0) -> Tour:
     """Visit the heuristic ETSP order, coming to rest at every target."""
     tour = etsp_tour(pset, seed=seed)
     if pset.n == 1:
-        return Tour(segments=[], visit_order=tour.order)
-    segments = [
-        Segment(kind="stop_go_leg", length=float(d), duration=stop_go_time(float(d), params))
-        for d in tour.edge_lengths
-    ]
-    return Tour(segments=segments, visit_order=tour.order)
+        return Tour(visit_order=tour.order)
+    return Tour(segments=_leg_rows(tour.edge_lengths.tolist(), params),
+                visit_order=tour.order)
 
 
-def greedy_cleanup(points: np.ndarray, start: np.ndarray, params: VehicleParams):
+def _leg_rows(lengths, params: VehicleParams) -> list:
+    """One ``(length, duration)`` row per stop-go leg."""
+    return [(d, stop_go_time(d, params)) for d in lengths]
+
+
+def greedy_cleanup(points: np.ndarray, start: np.ndarray):
     """Nearest-neighbor stop-go sweep over leftover targets.
 
     Each step goes to the remaining point nearest the current position by
@@ -101,7 +102,8 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray, params: VehicleParams)
     can be nearer or tie; at ``m`` neighbours it lists every point.  Points
     must be finite (the kd-tree rejects others).
 
-    Returns ``(segments, order)`` where order indexes into ``points``.
+    Returns ``(lengths, order)``: each leg's length is the distance that
+    chose it, and ``order`` indexes into ``points``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(points) if points.size else 0
@@ -134,7 +136,7 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray, params: VehicleParams)
     visited = bytearray(m)
     pos = np.asarray(start, dtype=float)
     q = pos.tolist()
-    segments = []
+    lengths = []
     order = np.empty(m, dtype=np.int64)
     for step in range(m):
         kk = k
@@ -149,15 +151,13 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray, params: VehicleParams)
                 break
             kk = min(m, kk * 4)
             kd, nbrs = tree.query(pos, k=kk)
-        delta = float(np.linalg.norm(points[best] - pos))
-        segments.append(Segment(kind="stop_go_leg", length=delta,
-                                duration=stop_go_time(delta, params)))
+        lengths.append(best_d)
         order[step] = best
         visited[best] = 1
         pos = points[best]
         q = pos.tolist()
         kd, nbrs = kd_rows[best], nbr_rows[best]
-    return segments, order
+    return lengths, order
 
 
 def _group_key(keys: np.ndarray) -> np.ndarray:
@@ -210,14 +210,15 @@ def _serve_and_order(unserved: np.ndarray, idx: np.ndarray, keys: np.ndarray,
     return served[order], keys[order]
 
 
-def _cleanup_tail(pset, unserved, segments, visit_chunks, params) -> Tour:
-    """The sweeps' tour, completed by a greedy stop-go cleanup from the origin."""
+def _cleanup_tail(pset, unserved, reports, visit_chunks, params) -> Tour:
+    """The sweeps' tour, one row per phase report at the speed cap, completed
+    by a greedy stop-go cleanup from the origin."""
     leftover_idx = np.flatnonzero(unserved)
-    clean_segs, clean_order = greedy_cleanup(
-        pset.points[leftover_idx], np.zeros(pset.d), params)
-    segments.extend(clean_segs)
+    legs, clean_order = greedy_cleanup(pset.points[leftover_idx], np.zeros(pset.d))
     visit_chunks.append(leftover_idx[clean_order])
-    return Tour(segments=segments, visit_order=np.concatenate(visit_chunks))
+    rows = [(r.length, r.length / params.r_vel) for r in reports]
+    return Tour(segments=rows + _leg_rows(legs, params),
+                visit_order=np.concatenate(visit_chunks))
 
 
 @dataclass(frozen=True)
@@ -234,24 +235,14 @@ class Sweep:
 
     @property
     def length(self) -> float:
-        # from the counts alone: cell sizing evaluates sweeps of far more rows
-        # than a segment list could hold
         return (self.n_rows * (self.pass_len + self.turn_len)
                 + self.n_layers * self.layer_turn_len + self.closing_len)
-
-    def segments(self, speed: float) -> list:
-        """The primitives at ``speed``: rows, then layer turns, then closing."""
-        def seg(kind, length):
-            return Segment(kind, length, length / speed)
-        return ([seg("pass", self.pass_len), seg("u_turn", self.turn_len)] * self.n_rows
-                + [seg("u_turn", self.layer_turn_len)] * self.n_layers
-                + [seg("closing", self.closing_len)])
 
 
 def bead_sweep(grid: BeadGrid, phase: int) -> Sweep:
     """Sweep of every meta-row of a bead tiling at recursive phase ``phase``."""
     # passes reach one meta-cell past each end; u-turns step a meta-row pitch
-    vr, vc = (phase - 1) // 2, phase // 2
+    vr, vc = bead_meta_exponents(phase)
     spec = grid.spec
     meta_width = (1 << vc) * spec.ell
     return Sweep(
@@ -286,14 +277,13 @@ def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.
     """Recursive bead-tiling tour over a rectangle; returns (Tour, phase reports).
 
     The vehicle cruises at the speed cap during the recursive sweeps (turn
-    radius ``r_vel**2/r_ctr``) and uses stop-go legs for the final greedy
+    radius ``params.turn_radius``) and uses stop-go legs for the final greedy
     cleanup.  Runs ``ceil(log2 n) + 1`` recursive phases.
     """
     if pset.d != 2:
         raise ValueError("rec_bta requires 2D points")
     n = pset.n
-    s = params.r_vel
-    rho = s**2 / params.r_ctr
+    rho = params.turn_radius
     ell, _ = ell_for_n(W, H, rho, n)
     grid = BeadGrid(W, H, BeadSpec.create(rho, ell))
     rows, cols = grid.cell_index(pset.points)
@@ -301,25 +291,22 @@ def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.
 
     n_phases = int(math.ceil(math.log2(n))) + 1 if n > 1 else 1
     unserved = np.ones(n, dtype=bool)
-    segments, reports, visit_chunks = [], [], []
+    reports, visit_chunks = [], []
 
     for phase in range(1, n_phases + 1):
-        vr, vc = (phase - 1) // 2, phase // 2
         idx = np.flatnonzero(unserved)
-        order, _ = _serve_and_order(
-            unserved, idx, np.column_stack([rows[idx] >> vr, cols[idx] >> vc]),
-            grid.row_max >> vr)
+        keys = np.column_stack(grid.meta_index(phase, rows[idx], cols[idx]))
+        top, (col_lo, col_hi) = grid.meta_index(phase, grid.row_max, [lo, hi])
+        order, _ = _serve_and_order(unserved, idx, keys, top)
         visit_chunks.append(order)
         sweep = bead_sweep(grid, phase)
-        segments.extend(sweep.segments(s))
-        n_meta_cols = (hi >> vc) - (lo >> vc) + 1
         reports.append(PhaseReport(
             phase=phase, meta_size=1 << (phase - 1),
-            cells_traversed=sweep.n_rows * n_meta_cols,
+            cells_traversed=sweep.n_rows * int(col_hi - col_lo + 1),
             served=len(order), leftover_after=int(unserved.sum()),
             length=sweep.length))
 
-    return _cleanup_tail(pset, unserved, segments, visit_chunks, params), reports
+    return _cleanup_tail(pset, unserved, reports, visit_chunks, params), reports
 
 
 def rec_cca(pset: PointSet, params: VehicleParams,
@@ -334,12 +321,11 @@ def rec_cca(pset: PointSet, params: VehicleParams,
     if pset.d != 3:
         raise ValueError("rec_cca requires 3D points")
     n = pset.n
-    s = params.r_vel
-    rho = s**2 / params.r_ctr
+    rho = params.turn_radius
     ell0, _ = ell_for_n_3d(W, H, D, rho, n)
     n_phases = max(1, int(math.ceil((math.log2(n) + 7.0) / 5.0))) if n > 1 else 1
     unserved = np.ones(n, dtype=bool)
-    segments, reports, visit_chunks = [], [], []
+    reports, visit_chunks = [], []
 
     for phase in range(1, n_phases + 1):
         ell_p = min(2.0 ** (phase - 1) * ell0, 4.0 * rho)
@@ -350,9 +336,11 @@ def rec_cca(pset: PointSet, params: VehicleParams,
         for sub, (a, b, c) in enumerate(SUBPHASE_EXPONENTS, 1):
             still = unserved[idx_phase]
             idx = idx_phase[still]
-            keys = np.column_stack([lay[still] >> c, row[still] >> b, col[still] >> a])
-            order, served_keys = _serve_and_order(unserved, idx, keys,
-                                                  grid.row_max >> b)
+            keys = np.column_stack(
+                cylinder_meta_index(sub, lay[still], row[still], col[still]))
+            _, top, col_last = cylinder_meta_index(sub, 0, grid.row_max,
+                                                   grid.n_cols - 1)
+            order, served_keys = _serve_and_order(unserved, idx, keys, top)
             visit_chunks.append(order)
             # only meta-rows that still hold unserved targets are swept;
             # empty cylinders need no pass.  Every occupied meta-cylinder
@@ -361,12 +349,10 @@ def rec_cca(pset: PointSet, params: VehicleParams,
             sweep = cylinder_sweep(
                 grid, sub, n_rows=len(np.unique(_group_key(served_keys[:, :2]))),
                 n_layers=len(np.unique(served_keys[:, 0])))
-            segments.extend(sweep.segments(s))
-            n_meta_cols = (grid.n_cols - 1 >> a) + 1
             reports.append(PhaseReport(
                 phase=phase, meta_size=1 << (a + b + c),
-                cells_traversed=sweep.n_rows * n_meta_cols,
+                cells_traversed=sweep.n_rows * int(col_last + 1),
                 served=len(order), leftover_after=int(unserved.sum()),
                 length=sweep.length, subphase=sub))
 
-    return _cleanup_tail(pset, unserved, segments, visit_chunks, params), reports
+    return _cleanup_tail(pset, unserved, reports, visit_chunks, params), reports

@@ -22,21 +22,15 @@ class VehicleParams:
     r_ctr: float
 
     def __post_init__(self):
-        if self.r_vel <= 0 or self.r_ctr <= 0:
-            raise ValueError("r_vel and r_ctr must be positive")
+        for name in ("r_vel", "r_ctr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def turn_radius(self) -> float:
         """Turn radius induced by cruising at the speed cap."""
         return self.r_vel**2 / self.r_ctr
-
-
-@dataclass(frozen=True)
-class CruiseProfile:
-    """Constant cruise speed ``s`` and the turn radius ``rho = s**2/r_ctr`` it induces."""
-
-    s: float
-    rho: float
 
 
 def stop_go_time(delta: float, params: VehicleParams) -> float:
@@ -48,16 +42,9 @@ def stop_go_time(delta: float, params: VehicleParams) -> float:
     """
     if delta < 0:
         raise ValueError("distance must be nonnegative")
-    if delta <= params.r_vel**2 / params.r_ctr:
+    if delta <= params.turn_radius:
         return 2.0 * math.sqrt(delta / params.r_ctr)
     return params.r_vel / params.r_ctr + delta / params.r_vel
-
-
-def cruise_profile(s: float, params: VehicleParams) -> CruiseProfile:
-    """Profile for cruising at constant speed ``s`` (0 < s <= r_vel)."""
-    if not 0 < s <= params.r_vel:
-        raise ValueError("cruise speed must lie in (0, r_vel]")
-    return CruiseProfile(s=s, rho=s**2 / params.r_ctr)
 
 
 def u_turn_length(rho: float) -> float:

@@ -109,6 +109,15 @@ def test_dtrp_bad_input_exits_with_one_line(flags, field):
     assert field in message and "\n" not in message
 
 
+@pytest.mark.parametrize("argv", [["tour", "--algo", "recbta"],
+                                  ["scaling", "--ns", "20", "40"], ["dtrp"]])
+def test_nan_vehicle_exits_with_one_line(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--rvel", "nan"])
+    message = str(exc.value.code)
+    assert "r_vel" in message and "\n" not in message
+
+
 @pytest.mark.parametrize("flag", [["--n=7"], ["--n", "7"]])
 def test_config_file_yields_to_flags(tmp_path, flag):
     cfgfile = tmp_path / "cfg.json"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
                             bead_area, bead_contains, bead_width,
@@ -237,3 +239,15 @@ def test_ell_for_n_3d_solves_volume_equation():
     ell, _ = ell_for_n_3d(1.0, 1.0, 1.0, 0.25, 10**7)
     assert ell == pytest.approx(
         ell_asymptotic_3d(1.0, 1.0, 1.0, 0.25, 10**7), rel=2e-2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**6), step=st.integers(0, 10**6),
+       rho=st.floats(1e-3, 10.0), W=st.floats(0.05, 20.0),
+       h=st.floats(0.01, 1.0), d=st.floats(0.01, 1.0))
+def test_ell_for_n_nonincreasing_in_n(n, step, rho, W, h, d):
+    H = W * h
+    D = H * d
+    assert ell_for_n(W, H, rho, n + step)[0] <= ell_for_n(W, H, rho, n)[0]
+    assert (ell_for_n_3d(W, H, D, rho, n + step)[0]
+            <= ell_for_n_3d(W, H, D, rho, n)[0])

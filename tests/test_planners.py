@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ditsp.etsp import PointSet
 from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
                             cylinder_meta_index, ell_for_n, ell_for_n_3d)
-from ditsp.planners import (Segment, Tour, _serve_oldest_per_group, bead_sweep,
+from ditsp.planners import (Tour, _serve_oldest_per_group, bead_sweep,
                             cylinder_sweep, greedy_cleanup, rec_bta, rec_cca,
                             stop_go_stop)
 from ditsp.rng import substream
@@ -34,20 +34,18 @@ def test_stop_go_stop_durations_match_edges():
     rng = substream(13, 0)
     ps = PointSet(points=rng.uniform(size=(40, 2)))
     tour = stop_go_stop(ps, PARAMS, seed=2)
-    for seg in tour.segments:
-        assert seg.kind == "stop_go_leg"
-        assert seg.duration == pytest.approx(
-            stop_go_time(seg.length, PARAMS), rel=1e-12)
+    assert len(tour.segments) == 40
+    for length, duration in tour.segments.tolist():
+        assert duration == pytest.approx(stop_go_time(length, PARAMS), rel=1e-12)
 
 
 def test_greedy_cleanup_visits_all_nearest_first():
     pts = np.array([[1.0, 0.0], [0.2, 0.0], [3.0, 0.0]])
-    segs, order = greedy_cleanup(pts, np.zeros(2), PARAMS)
+    lengths, order = greedy_cleanup(pts, np.zeros(2))
     assert order.tolist() == [1, 0, 2]
-    assert len(segs) == 3
-    assert segs[0].length == pytest.approx(0.2)
-    empty_segs, empty_order = greedy_cleanup(np.empty((0, 2)), np.zeros(2), PARAMS)
-    assert empty_segs == [] and len(empty_order) == 0
+    assert lengths == pytest.approx([0.2, 0.8, 2.0])
+    empty_lengths, empty_order = greedy_cleanup(np.empty((0, 2)), np.zeros(2))
+    assert empty_lengths == [] and len(empty_order) == 0
 
 
 def _uniform_pset(n, seed, d=2):
@@ -105,16 +103,36 @@ def test_rec_bta_oldest_first_within_cell():
     assert tour.visit_order.tolist().index(0) < tour.visit_order.tolist().index(1)
 
 
+def _cleanup_legs(tour, reports, points):
+    """Leg lengths of the cleanup, recomputed from the visit order: from the
+    origin through the targets left after the last phase."""
+    tail = points[tour.visit_order[len(tour.visit_order)
+                                   - reports[-1].leftover_after:]]
+    path = np.vstack([np.zeros((1, points.shape[1])), tail])
+    return np.linalg.norm(np.diff(path, axis=0), axis=1).tolist()
+
+
+def _check_accounting(tour, reports, points, params):
+    # one row per (sub-)phase sweep, then one per cleanup leg; each total is
+    # the correctly rounded sum of those rows
+    legs = _cleanup_legs(tour, reports, points)
+    assert len(tour.segments) == len(reports) + len(legs)
+    sweeps, leg_rows = tour.segments[:len(reports)], tour.segments[len(reports):]
+    assert sweeps.tolist() == [[r.length, r.length / params.r_vel] for r in reports]
+    assert leg_rows[:, 0].tolist() == legs
+    assert leg_rows[:, 1].tolist() == [stop_go_time(x, params) for x in legs]
+    assert tour.total_length == math.fsum([r.length for r in reports] + legs)
+    assert tour.total_time == math.fsum(
+        [r.length / params.r_vel for r in reports]
+        + [stop_go_time(x, params) for x in legs])
+
+
 def test_rec_bta_length_accounting_consistent():
-    ps = _uniform_pset(1000, 5)
+    # clustered, so that many targets are left to the cleanup
+    ps = PointSet(points=_pin_clustered(1000, 2))
     tour, reports = rec_bta(ps, PARAMS)
-    phase_len = sum(r.length for r in reports)
-    cleanup_len = sum(s.length for s in tour.segments if s.kind == "stop_go_leg")
-    assert tour.total_length == pytest.approx(phase_len + cleanup_len, rel=1e-9)
-    sweep_time = phase_len / PARAMS.r_vel
-    cleanup_time = sum(s.duration for s in tour.segments
-                       if s.kind == "stop_go_leg")
-    assert tour.total_time == pytest.approx(sweep_time + cleanup_time, rel=1e-9)
+    assert reports[-1].leftover_after > 0
+    _check_accounting(tour, reports, ps.points, PARAMS)
 
 
 def test_rec_bta_even_phase_le_twice_next_odd():
@@ -160,11 +178,10 @@ def test_rec_cca_phase_structure():
 
 
 def test_rec_cca_length_accounting_consistent():
-    ps = _uniform_pset(500, 10, d=3)
+    ps = PointSet(points=_pin_clustered(500, 3))
     tour, reports = rec_cca(ps, PARAMS3)
-    phase_len = sum(r.length for r in reports)
-    cleanup_len = sum(s.length for s in tour.segments if s.kind == "stop_go_leg")
-    assert tour.total_length == pytest.approx(phase_len + cleanup_len, rel=1e-9)
+    assert reports[-1].leftover_after > 0
+    _check_accounting(tour, reports, ps.points, PARAMS3)
 
 
 @pytest.mark.parametrize("params", [PARAMS3, VehicleParams(r_vel=0.3, r_ctr=1.0)])
@@ -210,14 +227,36 @@ def test_full_sweeps_reach_closed_form_lower_bounds(W, h, d, rho, f):
             >= (2.0 * H / cyl.w) * (4.0 * D / cyl.w) * 2.0 * W)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), W=st.floats(0.2, 3.0), h=st.floats(0.1, 1.0),
+       d=st.floats(0.1, 1.0), r_vel=st.floats(0.01, 2.0),
+       seed=st.integers(0, 2**16))
+@example(n=5, W=1.0, h=1.0, d=1.0, r_vel=2.0, seed=0)  # clamped cells
+def test_sweep_planners_serve_every_target_once(n, W, h, d, r_vel, seed):
+    params = VehicleParams(r_vel=r_vel, r_ctr=1.0)
+    H = W * h
+    for plan, dims, size in ((rec_bta, (W, H), ell_for_n),
+                             (rec_cca, (W, H, H * d), ell_for_n_3d)):
+        if size(*dims, params.turn_radius, n)[1]:
+            event(f"{plan.__name__}: clamped cell")
+        pts = substream(57, seed, len(dims)).uniform(size=(n, len(dims))) * dims
+        tour, reports = plan(PointSet(points=pts), params, *dims)
+        assert sorted(tour.visit_order.tolist()) == list(range(n))
+        assert sum(r.served for r in reports) + reports[-1].leftover_after == n
+
+
 def test_tour_totals_are_segment_sums():
-    segs = [Segment("pass", 2.0, 4.0), Segment("u_turn", 1.0, 2.0)]
-    t = Tour(segments=segs, visit_order=np.array([0]))
+    t = Tour(segments=[(2.0, 4.0), (1.0, 2.0)], visit_order=np.array([0]))
     assert t.total_length == 3.0
     assert t.total_time == 6.0
+    # correctly rounded, whatever the row order: a left-to-right sum gives 0
+    t = Tour(segments=[(1e16, 1.0), (1.0, 1e-16), (-1e16, 1.0)])
+    assert t.total_length == 1.0
+    assert t.total_time == math.fsum([1.0, 1e-16, 1.0])
+    assert Tour().total_length == 0.0 and len(Tour().segments) == 0
 
 
-# -- pins: sweep planners' outputs, recorded at commit e0a8677 ----------------
+# -- pins: sweep planners' outputs ------------------------------------------
 
 def _pin_uniform(n, d):
     return substream(31, 0, d).uniform(size=(n, d))
@@ -233,26 +272,29 @@ def _pin_clustered(n, d):
 
 
 # name: (planner, params, points, sha256 of the totals and phase reports,
-# sha256 of visit_order as int64).  All recorded at commit e0a8677 except the
-# rec_cca visit orders, re-recorded when each sub-phase's order was made
-# layer-major with every target ranked by its own meta-cell (it had ranked
-# targets by other targets' cells); their totals did not change
+# sha256 of visit_order as int64).  The visit orders were recorded at commit
+# e0a8677, except the rec_cca ones, re-recorded when each sub-phase's order
+# was made layer-major with every target ranked by its own meta-cell (it had
+# ranked targets by other targets' cells).  The totals digests were
+# re-recorded when a tour became one row per sweep and per leg, summed with
+# math.fsum, and each leg was charged the distance that chose it: the totals
+# moved by at most 1.3e-14 relative, the phase reports did not move
 PINNED_SWEEPS = {
     "bta-uniform-3000": (
         rec_bta, PARAMS, lambda: _pin_uniform(3000, 2),
-        "0ca2104e142f91ed4bd47480e64355e75d3a68a13483ee599d6734dcf4415464",
+        "1169ceba65d127c7efb1f12db59ab56c016851b296957bcf4d019553c7e6de58",
         "e9d40e1160024e09d7df8bc761ff9dca9ffc31bce06109271b12f37ec9b69b49"),
     "bta-clustered-3000": (
         rec_bta, PARAMS, lambda: _pin_clustered(3000, 2),
-        "68c88e14ebcf581386bb82901ade217ea177aa813beda96f5d79c08b51491b18",
+        "3257290f67b6b8deb6878c28d21b4b345ab83128f505f170f6be3417bf8ed490",
         "71d06e2a68f24f593c52c1a8b922853c5d91f9a90f9201ed17b1aac4ead9edf5"),
     "cca-uniform-1500": (
         rec_cca, PARAMS3, lambda: _pin_uniform(1500, 3),
-        "c41c0d26f0e52dabe4efac361bccd58066b686a858e5c1d4356d921d829543cd",
+        "34248732c468c7a6f273809b70369def8024748cbe89d00a35ed68f43b463b4a",
         "7112dc58e395578a4a53c74785613f29d9d69d61b9884b2913ae6fee98a45b5b"),
     "cca-clustered-1500": (
         rec_cca, PARAMS3, lambda: _pin_clustered(1500, 3),
-        "9f87e81e08303d356b5af86851b35850c7cb5df6b34322f831995f8c2fd46f43",
+        "246b33fb168196e5c58a1a1778df9d58bf8c5ba9d2ad5dce45b121300efd1ede",
         "f32ea9aba8af45b1a709ca04219fffc5b80b21ac4386cbd73508a5da5cb6add4"),
 }
 
@@ -274,14 +316,17 @@ def test_sweep_digest_pinned(name):
 
 def _brute_force_cleanup(points, start):
     """Greedy walk by full distance scans: the nearest remaining point by the
-    axis-1 norm, ties to the lowest index; legs by the 1-D norm."""
+    axis-1 norm, ties to the lowest index; each leg is charged the distance
+    that chose it."""
     remaining = np.ones(len(points), dtype=bool)
     pos = np.asarray(start, dtype=float)
     order, lengths = [], []
     for _ in range(len(points)):
         idx = np.flatnonzero(remaining)
-        j = idx[int(np.argmin(np.linalg.norm(points[idx] - pos, axis=1)))]
-        lengths.append(float(np.linalg.norm(points[j] - pos)))
+        dists = np.linalg.norm(points[idx] - pos, axis=1)
+        k = int(np.argmin(dists))
+        j = idx[k]
+        lengths.append(float(dists[k]))
         order.append(j)
         remaining[j] = False
         pos = points[j]
@@ -316,12 +361,10 @@ def _cleanup_case(name, d):
 def test_greedy_cleanup_matches_brute_force(name, d):
     pts = _cleanup_case(name, d)
     for start in (np.zeros(d), pts[7].copy(), np.full(d, 0.5)):
-        segs, order = greedy_cleanup(pts, start, PARAMS)
+        lengths, order = greedy_cleanup(pts, start)
         want_order, want_lengths = _brute_force_cleanup(pts, start)
         assert order.tolist() == want_order
-        assert [s.length for s in segs] == want_lengths
-        assert [s.duration for s in segs] == [stop_go_time(x, PARAMS)
-                                              for x in want_lengths]
+        assert lengths == want_lengths
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,10 +374,10 @@ def test_greedy_cleanup_matches_brute_force(name, d):
 def test_greedy_cleanup_small_grids_match_brute_force(cells, d):
     # integer coordinates: many exact ties and duplicates
     pts = np.array([c + (c[0],) * (d - 2) for c in cells], dtype=float)
-    segs, order = greedy_cleanup(pts, np.zeros(d), PARAMS)
+    lengths, order = greedy_cleanup(pts, np.zeros(d))
     want_order, want_lengths = _brute_force_cleanup(pts, np.zeros(d))
     assert order.tolist() == want_order
-    assert [s.length for s in segs] == want_lengths
+    assert lengths == want_lengths
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ditsp.rng import substream
-from ditsp.vehicle import (CruiseProfile, VehicleParams, cruise_profile,
-                           stop_go_time, u_turn_length)
+from ditsp.vehicle import VehicleParams, stop_go_time, u_turn_length
 
 
 def oracle_stop_go(delta, r_vel, r_ctr, tol=1e-13):
@@ -80,16 +79,17 @@ def test_params_validation():
         VehicleParams(r_vel=1.0, r_ctr=-1.0)
 
 
-def test_turn_radius_and_cruise_profile():
+@pytest.mark.parametrize("field", ["r_vel", "r_ctr"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, bad):
+    values = {"r_vel": 1.0, "r_ctr": 1.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        VehicleParams(**values)
+
+
+def test_turn_radius():
     params = VehicleParams(r_vel=0.4, r_ctr=0.8)
     assert params.turn_radius == pytest.approx(0.4**2 / 0.8)
-    prof = cruise_profile(0.2, params)
-    assert isinstance(prof, CruiseProfile)
-    assert prof.rho == pytest.approx(0.2**2 / 0.8)
-    with pytest.raises(ValueError):
-        cruise_profile(0.5, params)
-    with pytest.raises(ValueError):
-        cruise_profile(0.0, params)
 
 
 def test_u_turn_length():
