@@ -62,18 +62,22 @@ def _dims(args):
     return (args.W, args.H)
 
 
-def _params(args) -> VehicleParams:
+def _checked(args, make, *values, **fields):
+    """Call ``make``; its ``ValueError`` becomes a one-line exit."""
     try:
-        return VehicleParams(r_vel=args.rvel, r_ctr=args.rctr)
+        return make(*values, **fields)
     except ValueError as err:
         raise SystemExit(f"{args.command}: {err}") from None
 
 
+def _params(args) -> VehicleParams:
+    return _checked(args, VehicleParams, r_vel=args.rvel, r_ctr=args.rctr)
+
+
 def cmd_tour(args) -> int:
-    algo = _ALGO_NAMES[args.algo]
-    config = ExperimentConfig(algo=algo, dims=_dims(args), params=_params(args),
-                              ns=(args.n,), n_seeds=args.trials,
-                              master_seed=args.seed)
+    config = _checked(args, ExperimentConfig, algo=_ALGO_NAMES[args.algo],
+                      dims=_dims(args), params=_params(args), ns=(args.n,),
+                      n_seeds=args.trials, master_seed=args.seed)
     rows = []
     for seed in range(args.trials):
         r = run_trial(config, args.n, seed)
@@ -94,11 +98,9 @@ def cmd_dtrp(args) -> int:
     ok = True
     trace = [] if args.trace else None
     for seed in range(args.seeds):
-        try:
-            config = DtrpConfig(dims=dims, params=_params(args), lam=args.lam,
-                                n_slots=args.horizon, seed=args.seed + seed)
-        except ValueError as err:
-            raise SystemExit(f"dtrp: {err}") from None
+        config = _checked(args, DtrpConfig, dims=dims, params=_params(args),
+                          lam=args.lam, n_slots=args.horizon,
+                          seed=args.seed + seed)
         stats = run(config, trace=trace if seed == 0 else None)
         ok = ok and not stats.divergent
         rows.append([args.policy, args.lam, seed, stats.mean_system_time,
@@ -119,11 +121,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_tile(args) -> int:
     dims = _dims(args)
-    rho = args.rho
+    cells = []
     if args.dim == 2:
-        spec = BeadSpec.create(rho, args.ell)
-        grid = BeadGrid(dims[0], dims[1], spec)
-        cells = []
+        spec = _checked(args, BeadSpec.create, args.rho, args.ell)
+        grid = _checked(args, BeadGrid, *dims, spec)
         for row, col in grid.cells():
             cx, cy = grid.cell_center(row, col)
             cx, cy = float(cx), float(cy)
@@ -134,12 +135,9 @@ def cmd_tile(args) -> int:
                 "vertices": [[cx - half_l, cy], [cx, cy + half_w],
                              [cx + half_l, cy], [cx, cy - half_w]],
             })
-        obj = {"spec": {"rho": rho, "ell": spec.ell, "w": spec.w},
-               "cells": cells}
     else:
-        spec = CylinderSpec.create(rho, args.ell)
-        grid = CylinderGrid(dims[0], dims[1], dims[2], spec)
-        cells = []
+        spec = _checked(args, CylinderSpec.create, args.rho, args.ell)
+        grid = _checked(args, CylinderGrid, *dims, spec)
         for layer in range(grid.layer_min, grid.layer_max + 1):
             for row in range(grid.row_min, grid.row_max + 1):
                 y, z = grid.axis_center(layer, row)
@@ -151,22 +149,21 @@ def cmd_tile(args) -> int:
                         "anchor": [x0 + spec.ell / 2.0, y, z],
                         "axis": [[x0, y, z], [x0 + spec.ell, y, z]],
                     })
-        obj = {"spec": {"rho": rho, "ell": spec.ell, "w": spec.w},
-               "cells": cells}
-    _emit_obj(obj, args.out)
+    _emit_obj({"spec": {"rho": args.rho, "ell": spec.ell, "w": spec.w},
+               "cells": cells}, args.out)
     return 0
 
 
 def cmd_scaling(args) -> int:
-    algo = _ALGO_NAMES[args.algo]
-    config = ExperimentConfig(algo=algo, dims=_dims(args), params=_params(args),
-                              ns=tuple(args.ns), n_seeds=args.trials,
-                              master_seed=args.seed, workers=args.workers)
+    config = _checked(args, ExperimentConfig, algo=_ALGO_NAMES[args.algo],
+                      dims=_dims(args), params=_params(args),
+                      ns=tuple(args.ns), n_seeds=args.trials,
+                      master_seed=args.seed, workers=args.workers)
     results = run_experiment(config)
     if args.out:
         write_tour_csv(results, args.out)
     fit = fit_experiment(results)
-    report = {"algo": algo, "slope": fit.slope, "intercept": fit.intercept,
+    report = {"algo": config.algo, "slope": fit.slope, "intercept": fit.intercept,
               "r_squared": fit.r_squared, "n_points": fit.n_points}
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
     if args.slope_min is not None and fit.slope < args.slope_min:

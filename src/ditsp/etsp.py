@@ -10,9 +10,10 @@ from scipy.spatial import cKDTree
 
 from ditsp.rng import substream
 
-# above this size, 2-opt candidate moves come from k-nearest-neighbor lists
-# instead of the full O(n^2) neighborhood
-_FULL_2OPT_LIMIT = 1200
+# 2-opt scans each city's _KNN nearest neighbours; up to this size a row that
+# a scan runs off grows on demand, up to every point, so scans see every
+# candidate the move test could accept
+_GROW_ROWS_LIMIT = 1200
 _KNN = 8
 
 
@@ -100,29 +101,31 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarra
 
     Candidate cities are scanned in increasing distance from the anchor city
     and the scan stops once the candidate edge is no shorter than the removed
-    one; checking both tour directions per anchor makes this exhaustive, so a
-    fixed point (with full candidate lists) is a true 2-opt local optimum.
-    One call need not end at a fixed point: a move clears the don't-look bits
-    of its four endpoints only, so an anchor set aside earlier can keep an
-    improving move (3D tours of 50-200 points show this).
+    one; checking both tour directions per anchor makes this exhaustive when
+    the scan sees every candidate.  Each city's row starts as its ``_KNN``
+    nearest neighbours from one batched kd-tree query.  For
+    ``n <= _GROW_ROWS_LIMIT``, a scan that runs off the end of a row without
+    stopping or moving re-queries the tree for 4x as many neighbours (capped
+    at ``n``) and rescans the longer row, so a fixed point is a true 2-opt
+    local optimum; above the limit rows keep ``_KNN`` neighbours.  One call
+    need not end at a fixed point: a move clears the don't-look bits of its
+    four endpoints only, so an anchor set aside earlier can keep an improving
+    move (3D tours of 50-200 points show this).
 
     Every distance has one definition: the per-dimension differences,
     squared and summed left to right, then ``sqrt``.  ``dist`` evaluates it on
-    Python floats and the dense path on whole arrays; both are bit-for-bit the
-    ``np.linalg.norm(..., axis=...)`` of ``_edge_lengths``.  ``math.hypot``
-    and ``np.linalg.norm`` of a 1-D vector (a ``dot`` with fused
-    multiply-adds) are not used: each differs from it in the last bit on many
-    pairs, so candidate order and move tests could disagree.
+    Python floats, bit-for-bit the ``np.linalg.norm(..., axis=...)`` of
+    ``_edge_lengths``.  ``math.hypot`` and ``np.linalg.norm`` of a 1-D vector
+    (a ``dot`` with fused multiply-adds) are not used: each differs from it
+    in the last bit on many pairs, so move tests and edge lengths could
+    disagree.  Exact distance ties are scanned in kd-tree order.
     """
     n = len(order)
     if n < 4:
         return order
-    if n <= _FULL_2OPT_LIMIT:
-        full = np.sqrt(sum((p[:, None] - p[None, :]) ** 2 for p in points.T))
-        cand = np.argsort(full, axis=1)[:, 1:]
-    else:
-        _, nbrs = cKDTree(points).query(points, k=min(n, _KNN + 1))
-        cand = nbrs[:, 1:]
+    tree = cKDTree(points)
+    _, nbrs = tree.query(points, k=min(n, _KNN + 1))
+    rows = nbrs[:, 1:].tolist()
 
     if points.shape[1] == 2:
         xs, ys = points.T.tolist()
@@ -155,34 +158,44 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarra
             continue
         improved = False
         ia = pos_of[a]
-        row = cand[a].tolist()
         for step in (1, -1):
             ib = (ia + step) % n
             b = tour_at[ib]
             d_ab = dist(a, b)
-            for c in row:
-                if c == b or c == a:
-                    continue
-                d_ac = dist(a, c)
-                if d_ac >= d_ab:
-                    break
-                ic = pos_of[c]
-                idd = (ic + step) % n
-                d = tour_at[idd]
-                if d == a:
-                    continue
-                delta = d_ac + dist(b, d) - d_ab - dist(c, d)
-                if delta < -1e-12:
-                    if step == 1:
-                        _reverse_arc(tour, pos, ib, ic)
-                    else:
-                        _reverse_arc(tour, pos, ia, idd)
-                    moves += 1
-                    improved = True
-                    for t in (a, b, c, d):
-                        dont_look[t] = 0
-                        queue.append(t)
-                    break
+            row = rows[a]
+            while True:
+                for c in row:
+                    if c == b or c == a:
+                        continue
+                    d_ac = dist(a, c)
+                    if d_ac >= d_ab:
+                        break
+                    ic = pos_of[c]
+                    idd = (ic + step) % n
+                    d = tour_at[idd]
+                    if d == a:
+                        continue
+                    delta = d_ac + dist(b, d) - d_ab - dist(c, d)
+                    if delta < -1e-12:
+                        if step == 1:
+                            _reverse_arc(tour, pos, ib, ic)
+                        else:
+                            _reverse_arc(tour, pos, ia, idd)
+                        moves += 1
+                        improved = True
+                        for t in (a, b, c, d):
+                            dont_look[t] = 0
+                            queue.append(t)
+                        break
+                else:
+                    # the row (a query for len(row) + 1 points) ran out
+                    # before a stop, so the scan had no effect: rescan a
+                    # row from a query for 4x as many
+                    if len(row) + 1 < n <= _GROW_ROWS_LIMIT:
+                        _, idx = tree.query(points[a], k=min(n, 4 * len(row) + 4))
+                        row = rows[a] = idx[1:].tolist()
+                        continue
+                break
             if improved:
                 break
         if improved:
@@ -216,8 +229,10 @@ def etsp_tour(pset: PointSet, seed: int = 0) -> TourOrder:
     """Heuristic closed tour: nearest-neighbor construction plus 2-opt cleanup.
 
     Deterministic given ``seed`` (which selects the construction start point).
-    The 2-opt pass runs first-improvement until a local optimum or until
-    ``50 * n`` moves.
+    The 2-opt pass (``_two_opt``) runs first-improvement until no anchor is
+    left to try or until ``50 * n`` moves; its scans see every candidate for
+    ``n <= _GROW_ROWS_LIMIT`` and each city's ``_KNN`` nearest neighbours
+    above that.
     """
     points = pset.points
     n = pset.n

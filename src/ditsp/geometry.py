@@ -33,10 +33,10 @@ def bead_width(rho: float, ell: float) -> float:
     Closed form ``4*rho*(1 - sqrt(1 - ell**2/(16*rho**2)))``; behaves like
     ``ell**2/(8*rho)`` for short beads.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     if not 0 < ell <= 4 * rho * (1 + 1e-12):
-        raise ValueError("bead length must lie in (0, 4*rho]")
+        raise ValueError(f"ell must lie in (0, 4*rho], got {ell} for rho {rho}")
     x = min(1.0, ell**2 / (16.0 * rho**2))
     # 1 - sqrt(1-x) written as x/(1+sqrt(1-x)) to stay accurate for small x
     return 4.0 * rho * x / (1.0 + math.sqrt(1.0 - x))

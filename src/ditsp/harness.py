@@ -43,6 +43,8 @@ class ExperimentConfig:
         want = 3 if self.algo == "rec_cca" else 2
         if len(self.dims) != want:
             raise ValueError(f"{self.algo} needs {want} workspace dimensions")
+        if not all(math.isfinite(d) and d > 0 for d in self.dims):
+            raise ValueError(f"dims must be finite and positive, got {self.dims}")
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,27 @@ def test_nan_vehicle_exits_with_one_line(argv):
     assert "r_vel" in message and "\n" not in message
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["tile", "--rho", "nan"], "rho"),
+    (["tile", "--rho", "0.01", "--ell", "1"], "ell"),
+    (["tile", "--dim", "3", "--D", "1", "--rho", "-1"], "rho")])
+def test_tile_bad_cell_exits_with_one_line(argv, field):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert message.startswith(f"tile: {field} ") and "\n" not in message
+
+
+@pytest.mark.parametrize("command", [["tour", "--algo", "recbta"],
+                                     ["scaling", "--ns", "20", "40"]])
+@pytest.mark.parametrize("width", ["nan", "-1"])
+def test_bad_workspace_exits_with_one_line(command, width):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--W", width])
+    message = str(exc.value.code)
+    assert message.startswith(f"{command[0]}: dims ") and "\n" not in message
+
+
 @pytest.mark.parametrize("flag", [["--n=7"], ["--n", "7"]])
 def test_config_file_yields_to_flags(tmp_path, flag):
     cfgfile = tmp_path / "cfg.json"

@@ -7,9 +7,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 import ditsp.etsp
-from ditsp.etsp import (PointSet, _nearest_neighbor_order, _two_opt,
-                        etsp_tour, held_karp_length, long_edge_count,
-                        worst_case_grid)
+from ditsp.etsp import (PointSet, _nearest_neighbor_order, _reverse_arc,
+                        _two_opt, etsp_tour, held_karp_length,
+                        long_edge_count, worst_case_grid)
 from ditsp.rng import substream
 
 
@@ -121,7 +121,11 @@ def test_etsp_deterministic_given_seed():
 
 # sha256 of etsp_tour(..., seed=3).order as int64, recorded with the
 # per-step kd-tree walk and per-pair np.linalg.norm 2-opt of commit 53bf733;
-# the neighbour-list rewrite must give the same tours byte for byte
+# the neighbour-list rewrite must give the same tours byte for byte.  A
+# "-dense" input has n <= _GROW_ROWS_LIMIT, where 2-opt rows grow to every
+# point (once a dense distance matrix).  grid-900-dense-ties was re-recorded
+# when that matrix went: its exact distance ties are now scanned in kd-tree
+# order instead of argsort order (length 30.82755... -> 30.79994...)
 PINNED_TOURS = {
     "uniform-1000-dense":
         ("b30518cd4eb02e5270f2aeaa583ac03743a1c6e094ef2daaab2643b6c6c8d833",
@@ -139,7 +143,7 @@ PINNED_TOURS = {
         ("d43ebeffc459bbd469a954a02e9102cb88b153811cddce549a400f53d58de24d",
          lambda: worst_case_grid(1600, 2, 1.0, 1.0).points),
     "grid-900-dense-ties":
-        ("fd82bcf2bec58560747fa66330b8598fee25a64da3d9a1607de7ca716dfcd005",
+        ("6ce1409c666782c109fa0117b2352dd80e1cba0b9675801874016f08c0cfb75d",
          lambda: worst_case_grid(900, 2, 1.0, 1.0).points),
 }
 
@@ -222,3 +226,84 @@ def test_two_opt_fixed_point_is_local_optimum(d):
             pytest.fail("2-opt did not reach a fixed point")
         assert sorted(tour.tolist()) == list(range(n))
         assert _improving_moves(pts, tour) == 0
+
+
+def _dense_two_opt(points, order, max_moves):
+    """``_two_opt`` scanning full rows of a dense distance matrix.
+
+    Each anchor's candidates are every other city, in ``argsort`` order of
+    its row of the n x n matrix; the loop is ``_two_opt``'s.
+    """
+    n = len(order)
+    if n < 4:
+        return order
+    full = np.sqrt(sum((p[:, None] - p[None, :]) ** 2 for p in points.T))
+    cand = np.argsort(full, axis=1)[:, 1:]
+    dist = full.item
+    tour = order.copy()
+    pos = np.empty(n, dtype=np.int64)
+    pos[tour] = np.arange(n)
+    dont_look = bytearray(n)
+    moves = 0
+    queue = list(range(n))
+    while queue and moves < max_moves:
+        a = queue.pop()
+        if dont_look[a]:
+            continue
+        improved = False
+        ia = int(pos[a])
+        for step in (1, -1):
+            ib = (ia + step) % n
+            b = int(tour[ib])
+            d_ab = dist(a, b)
+            for c in cand[a].tolist():
+                if c == b or c == a:
+                    continue
+                d_ac = dist(a, c)
+                if d_ac >= d_ab:
+                    break
+                ic = int(pos[c])
+                idd = (ic + step) % n
+                d = int(tour[idd])
+                if d == a:
+                    continue
+                delta = d_ac + dist(b, d) - d_ab - dist(c, d)
+                if delta < -1e-12:
+                    if step == 1:
+                        _reverse_arc(tour, pos, ib, ic)
+                    else:
+                        _reverse_arc(tour, pos, ia, idd)
+                    moves += 1
+                    improved = True
+                    for t in (a, b, c, d):
+                        dont_look[t] = 0
+                        queue.append(t)
+                    break
+            if improved:
+                break
+        if improved:
+            queue.append(a)
+        else:
+            dont_look[a] = 1
+            if not queue:
+                queue = [t for t in range(n) if not dont_look[t]]
+    return tour
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_two_opt_matches_dense_scan(monkeypatch, d):
+    # rows that grow on demand see every candidate the dense scan sees; on
+    # inputs without exact distance ties both scan them in the same order
+    monkeypatch.setattr(ditsp.etsp, "cKDTree", _CountingTree)
+    grown = []
+    for k, n in enumerate((50, 300, 1000, 1200)):
+        pts = substream(17, 10 * d + k).uniform(size=(n, d))
+        for start in (0, n // 2):
+            order = _nearest_neighbor_order(pts, start)
+            _CountingTree.ks.clear()
+            got = _two_opt(pts, order, max_moves=50 * n)
+            grown += [q for q in _CountingTree.ks if q > ditsp.etsp._KNN + 1]
+            want = _dense_two_opt(pts, order, max_moves=50 * n)
+            assert got.tobytes() == want.tobytes()
+    # some scan ran off its first row, so the growth branch ran
+    assert grown

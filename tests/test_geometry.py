@@ -54,6 +54,11 @@ def test_bead_width_domain():
         bead_width(1.0, 4.1)
     with pytest.raises(ValueError):
         bead_width(-1.0, 0.5)
+    for rho in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="rho"):
+            bead_width(rho, 0.5)
+    with pytest.raises(ValueError, match="ell"):
+        bead_width(1.0, np.nan)
 
 
 def test_bead_area_monte_carlo():

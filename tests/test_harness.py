@@ -105,3 +105,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(algo="rec_cca", dims=(1.0, 1.0), params=SLOW,
                          ns=(10,), n_seeds=1)
+
+
+@pytest.mark.parametrize("dims", [(float("nan"), 1.0), (1.0, -1.0),
+                                  (1.0, float("inf"))])
+def test_config_rejects_bad_dims(dims):
+    with pytest.raises(ValueError, match="dims"):
+        ExperimentConfig(algo="sgs", dims=dims, params=SLOW, ns=(10,),
+                         n_seeds=1)
