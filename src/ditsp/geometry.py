@@ -31,7 +31,8 @@ def bead_width(rho: float, ell: float) -> float:
     """Maximum thickness of a bead of length ``ell`` for turn radius ``rho``.
 
     Closed form ``4*rho*(1 - sqrt(1 - ell**2/(16*rho**2)))``; behaves like
-    ``ell**2/(8*rho)`` for short beads.
+    ``ell**2/(8*rho)`` for short beads.  A width that underflows to 0 is
+    rejected.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be finite and positive, got {rho}")
@@ -39,7 +40,11 @@ def bead_width(rho: float, ell: float) -> float:
         raise ValueError(f"ell must lie in (0, 4*rho], got {ell} for rho {rho}")
     x = min(1.0, ell**2 / (16.0 * rho**2))
     # 1 - sqrt(1-x) written as x/(1+sqrt(1-x)) to stay accurate for small x
-    return 4.0 * rho * x / (1.0 + math.sqrt(1.0 - x))
+    w = 4.0 * rho * x / (1.0 + math.sqrt(1.0 - x))
+    if w == 0.0:
+        raise ValueError(f"ell {ell} is too short for rho {rho}: "
+                         "the bead width underflows to 0")
+    return w
 
 
 @dataclass(frozen=True)

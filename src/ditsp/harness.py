@@ -45,6 +45,10 @@ class ExperimentConfig:
             raise ValueError(f"{self.algo} needs {want} workspace dimensions")
         if not all(math.isfinite(d) and d > 0 for d in self.dims):
             raise ValueError(f"dims must be finite and positive, got {self.dims}")
+        # the cell grids run their rows along the longest side
+        if self.algo.startswith("rec_") and list(self.dims) != sorted(self.dims)[::-1]:
+            raise ValueError(f"dims must satisfy W >= H (>= D) for {self.algo}, "
+                             f"got {self.dims}")
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,8 @@ def test_nan_vehicle_exits_with_one_line(argv):
 @pytest.mark.parametrize("argv, field", [
     (["tile", "--rho", "nan"], "rho"),
     (["tile", "--rho", "0.01", "--ell", "1"], "ell"),
-    (["tile", "--dim", "3", "--D", "1", "--rho", "-1"], "rho")])
+    (["tile", "--dim", "3", "--D", "1", "--rho", "-1"], "rho"),
+    (["tile", "--rho", "1", "--ell", "1e-170"], "ell")])
 def test_tile_bad_cell_exits_with_one_line(argv, field):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -131,7 +132,7 @@ def test_tile_bad_cell_exits_with_one_line(argv, field):
 
 @pytest.mark.parametrize("command", [["tour", "--algo", "recbta"],
                                      ["scaling", "--ns", "20", "40"]])
-@pytest.mark.parametrize("width", ["nan", "-1"])
+@pytest.mark.parametrize("width", ["nan", "-1", "0.5"])  # 0.5: W < H
 def test_bad_workspace_exits_with_one_line(command, width):
     with pytest.raises(SystemExit) as exc:
         main(command + ["--W", width])

@@ -59,6 +59,9 @@ def test_bead_width_domain():
             bead_width(rho, 0.5)
     with pytest.raises(ValueError, match="ell"):
         bead_width(1.0, np.nan)
+    # ell**2 / (16 rho**2) underflows: a zero width is an error, not a cell
+    with pytest.raises(ValueError, match=r"ell 1e-170 .* rho 1\.0"):
+        bead_width(1.0, 1e-170)
 
 
 def test_bead_area_monte_carlo():

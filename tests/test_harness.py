@@ -113,3 +113,19 @@ def test_config_rejects_bad_dims(dims):
     with pytest.raises(ValueError, match="dims"):
         ExperimentConfig(algo="sgs", dims=dims, params=SLOW, ns=(10,),
                          n_seeds=1)
+
+
+@pytest.mark.parametrize("algo, dims", [("rec_bta", (0.5, 1.0)),
+                                        ("rec_cca", (1.0, 1.0, 2.0)),
+                                        ("rec_cca", (1.0, 0.5, 0.7))])
+def test_config_rejects_unordered_dims_for_sweeps(algo, dims):
+    with pytest.raises(ValueError, match="dims must satisfy W >= H"):
+        ExperimentConfig(algo=algo, dims=dims, params=SLOW, ns=(10,), n_seeds=1)
+
+
+def test_config_accepts_equal_dims_and_any_order_for_sgs():
+    for algo in ("sgs", "sgs_grid"):
+        ExperimentConfig(algo=algo, dims=(0.5, 1.0), params=SLOW, ns=(10,),
+                         n_seeds=1)
+    ExperimentConfig(algo="rec_cca", dims=(1.0, 1.0, 1.0), params=SLOW,
+                     ns=(10,), n_seeds=1)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ditsp.etsp import PointSet
 from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
                             cylinder_meta_index, ell_for_n, ell_for_n_3d)
-from ditsp.planners import (Tour, _serve_oldest_per_group, bead_sweep,
+from ditsp.planners import (Tour, _runs, _serve_and_order, bead_sweep,
                             cylinder_sweep, greedy_cleanup, rec_bta, rec_cca,
                             stop_go_stop)
 from ditsp.rng import substream
@@ -155,6 +155,22 @@ def test_rec_bta_rejects_non_finite_points(bad):
     pts[17, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         rec_bta(PointSet(points=pts), PARAMS)
+
+
+@pytest.mark.parametrize("plan, dims", [(rec_bta, (2.0, 1.0)),
+                                        (rec_cca, (2.0, 1.0, 0.5))])
+def test_sweep_planners_accept_closed_workspace_only(plan, dims):
+    # corners and edges lie in the closed box; 1e-9 past any face does not
+    corners = np.stack(np.meshgrid(*[(0.0, s) for s in dims]), -1)
+    pts = np.vstack([corners.reshape(-1, len(dims)), np.asarray(dims) / 2.0])
+    tour, _ = plan(PointSet(points=pts), PARAMS, *dims)
+    assert sorted(tour.visit_order.tolist()) == list(range(len(pts)))
+    for axis, name in enumerate("WHD"[:len(dims)]):
+        for value, bound in ((-1e-9, "< 0"), (dims[axis] + 1e-9, f"> {name} =")):
+            bad = pts.copy()
+            bad[-1, axis] = value
+            with pytest.raises(ValueError, match=f"{'xyz'[axis]} = .* {bound}"):
+                plan(PointSet(points=bad), PARAMS, *dims)
 
 
 PARAMS3 = VehicleParams(r_vel=0.5, r_ctr=1.0)
@@ -380,16 +396,32 @@ def test_greedy_cleanup_small_grids_match_brute_force(cells, d):
     assert lengths == want_lengths
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
-                          st.integers(-3, 3)), min_size=1, max_size=40),
-       st.integers(1, 3))
-def test_serve_oldest_per_group_matches_dict(rows, k):
-    keys = np.array([r[:k] for r in rows], dtype=np.int64)
-    # ascending, gapped ages, as the planners pass them
-    idx = np.cumsum(np.arange(1, len(rows) + 1), dtype=np.int64)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4),
+                          st.integers(-5, 5), st.integers(1, 3)), max_size=200),
+       st.integers(2, 3), st.integers(-4, 6))
+@example(rows=[(0, 0, 0, 1)] * 40 + [(0, 1, 0, 1)] * 40, k=2, row_top=1)
+def test_serve_and_order_matches_dict_and_sorted(rows, k, row_top):
+    # small index ranges: many targets share a meta-cell; gapped ascending
+    # ages, as the planners pass them; extra served slots in the mask
+    keys = np.array([r[3 - k:3] for r in rows], dtype=np.int64).reshape(-1, k)
+    idx = np.cumsum([r[3] for r in rows], dtype=np.int64)
+    unserved = np.zeros(len(rows) * 3 + 2, dtype=bool)
+    unserved[idx] = True
     oldest = {}
     for age, key in zip(idx.tolist(), map(tuple, keys.tolist())):
-        oldest[key] = min(oldest.get(key, age), age)
-    served = _serve_oldest_per_group(idx, keys)
-    assert sorted(served.tolist()) == sorted(oldest.values())
+        oldest.setdefault(key, age)
+
+    def sweep(key):
+        rank = row_top - key[-2]
+        return (*key[:-2], rank, key[-1] if rank % 2 == 0 else -key[-1])
+
+    want = sorted(oldest.items(), key=lambda item: sweep(item[0]))
+    want_unserved = unserved.copy()
+    want_unserved[list(oldest.values())] = False
+    order, served_keys = _serve_and_order(unserved, idx, tuple(keys.T), row_top)
+    assert order.tolist() == [age for _, age in want]
+    assert list(zip(*(c.tolist() for c in served_keys))) == [key for key, _ in want]
+    assert unserved.tolist() == want_unserved.tolist()
+    assert _runs(served_keys[:-1]) == len({key[:-1] for key in oldest})
+    assert _runs(served_keys[:1]) == len({key[:1] for key in oldest})
