@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from ditsp.geometry import CYCLE_FACTOR_3D
 from ditsp.vehicle import VehicleParams, u_turn_length
 
 # 3D dynamic lower-bound coefficient: printed value and the value obtained by
@@ -51,9 +52,10 @@ def tour_upper_2d(W: float, H: float, params: VehicleParams, n: int) -> float:
 
 def tour_upper_3d(W: float, H: float, D: float, params: VehicleParams, n: int) -> float:
     """Recursive cylinder-covering total-time upper bound with coefficient
-    (3328/15) (pi/16)^(4/5) / r_vel-normalization (approximately 61)."""
+    (3328/15) (pi/16)^(4/5) / r_vel-normalization (approximately 61), where
+    3328 = 1024 * CYCLE_FACTOR_3D is the five-sub-phase sweep budget."""
     _check_n(n)
-    coeff = (3328.0 / 15.0) * (math.pi / 16.0) ** (4 / 5)
+    coeff = (1024.0 * CYCLE_FACTOR_3D / 15.0) * (math.pi / 16.0) ** (4 / 5)
     return (coeff * (W * H * D / (params.r_ctr**2 * params.r_vel)) ** (1 / 5)
             * turn_penalty(W, params) * n ** (4 / 5))
 

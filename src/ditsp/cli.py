@@ -13,14 +13,13 @@ import argparse
 import csv
 import json
 import sys
-
-import numpy as np
+from dataclasses import astuple
 
 from ditsp.bounds import bound_set
 from ditsp.dtrp import DtrpConfig, run_bta, run_cca
 from ditsp.geometry import BeadGrid, BeadSpec, CylinderGrid, CylinderSpec
 from ditsp.harness import (ExperimentConfig, TOUR_CSV_FIELDS, fit_experiment,
-                           run_experiment, run_trial, write_tour_csv)
+                           run_experiment, write_tour_csv)
 from ditsp.vehicle import VehicleParams
 
 DTRP_CSV_FIELDS = ("policy", "lambda", "seed", "mean_system_time",
@@ -78,11 +77,7 @@ def cmd_tour(args) -> int:
     config = _checked(args, ExperimentConfig, algo=_ALGO_NAMES[args.algo],
                       dims=_dims(args), params=_params(args), ns=(args.n,),
                       n_seeds=args.trials, master_seed=args.seed)
-    rows = []
-    for seed in range(args.trials):
-        r = run_trial(config, args.n, seed)
-        rows.append([r.algo, r.n, r.seed, r.total_time, r.total_length,
-                     r.leftover_after_phases, r.phase_count])
+    rows = [astuple(r) for r in run_experiment(config)]
     _emit(rows, TOUR_CSV_FIELDS, args.format, args.out)
     return 0
 

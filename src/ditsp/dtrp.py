@@ -19,16 +19,12 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from ditsp.bounds import turn_penalty
-from ditsp.geometry import (SUBPHASE_EXPONENTS, BeadGrid, BeadSpec, CylinderGrid,
+from ditsp.geometry import (CYCLE_FACTOR_3D, BeadGrid, BeadSpec, CylinderGrid,
                             CylinderSpec, bead_area, cylinder_volume)
 from ditsp.planners import bead_sweep, cylinder_sweep
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
 
-# sweep length of one cell-enlargement cycle (five sub-phases) relative to its
-# first sub-phase: aggregating 2**b rows and 2**c layers divides the rows
-# swept by 2**(b+c), so 1 + 1 + 1/2 + 1/2 + 1/4 = 3.25 (3328/1024)
-CYCLE_FACTOR_3D = sum(2.0 ** -(b + c) for _, b, c in SUBPHASE_EXPONENTS)
 # utilization per unit (lam * ell / a) in 3D
 X_FACTOR_3D = math.pi / 2.0 * CYCLE_FACTOR_3D
 

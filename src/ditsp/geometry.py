@@ -207,7 +207,15 @@ class CylinderGrid:
     is ``w/4`` (one radius), odd layers offset by one radius in y; the circle
     cross-sections then cover the (y, z) plane.  Overlapping cells are
     disambiguated by assigning each point to the cylinder with the nearest
-    axis (ties: lowest index).
+    axis (ties: lowest ``(layer, row)``).
+
+    In units of the radius the axis of ``(layer, row)`` sits at
+    ``(y, z) = (2*row + layer % 2, layer) = (s - t, s + t)`` for integers
+    ``s, t``: a square lattice turned by 45 degrees.  Its nearest point takes
+    two roundings, ``s`` of ``(y + z)/2`` and ``t`` of ``(z - y)/2``, halves
+    down; then ``layer = s + t`` and ``row = layer // 2 - t``.  A point outside
+    the box gets the nearest axis of the extrapolated lattice, which may lie
+    outside the grid's row and layer ranges; only the column is clipped.
     """
 
     def __init__(self, W: float, H: float, D: float, spec: CylinderSpec):
@@ -236,29 +244,14 @@ class CylinderGrid:
     def cell_index(self, points: np.ndarray):
         """Owning cell ``(layer, row, col)`` for each point of an (n, 3) array."""
         pts = np.atleast_2d(points)
-        rad = self.spec.radius
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        k0 = np.round(z / rad).astype(np.int64)
-        best_d2 = np.full(len(pts), np.inf)
-        best_k = np.zeros(len(pts), dtype=np.int64)
-        best_r = np.zeros(len(pts), dtype=np.int64)
-        # candidates enumerated in (layer, row) ascending order so that exact
-        # distance ties resolve to the lowest index
-        for dk in (-1, 0, 1):
-            k = np.clip(k0 + dk, self.layer_min, self.layer_max)
-            off = (k % 2) * rad
-            r0 = np.round((y - off) / (2.0 * rad)).astype(np.int64)
-            for dr in (-1, 0, 1):
-                r = np.clip(r0 + dr, self.row_min, self.row_max)
-                yc = r * 2.0 * rad + off
-                zc = k * rad
-                d2 = (y - yc) ** 2 + (z - zc) ** 2
-                better = d2 < best_d2 * (1.0 - 1e-12)
-                best_d2 = np.where(better, d2, best_d2)
-                best_k = np.where(better, k, best_k)
-                best_r = np.where(better, r, best_r)
-        col = np.clip(np.floor(x / self.spec.ell).astype(np.int64), 0, self.n_cols - 1)
-        return best_k, best_r, col
+        u = pts[:, 1] / self.spec.radius
+        v = pts[:, 2] / self.spec.radius
+        # round s and t half down: ties go to the lowest (layer, row)
+        s = np.ceil((u + v) / 2.0 - 0.5).astype(np.int64)
+        t = np.ceil((v - u) / 2.0 - 0.5).astype(np.int64)
+        layer = s + t
+        col = np.clip(np.floor(pts[:, 0] / self.spec.ell).astype(np.int64), 0, self.n_cols - 1)
+        return layer, layer // 2 - t, col
 
     def covers(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask: point lies within its owning cylinder."""
@@ -275,6 +268,10 @@ class CylinderGrid:
 # sub-phase aggregation exponents (cols, rows, layers): meta-cylinders of
 # 1, 2, 4, 8, 16 cells
 SUBPHASE_EXPONENTS = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 1, 1))
+# sweep length of one cell-enlargement cycle (five sub-phases) relative to its
+# first sub-phase: aggregating 2**b rows and 2**c layers divides the rows
+# swept by 2**(b+c), so 1 + 1 + 1/2 + 1/2 + 1/4 = 3.25 (3328/1024)
+CYCLE_FACTOR_3D = sum(2.0 ** -(b + c) for _, b, c in SUBPHASE_EXPONENTS)
 
 
 def cylinder_meta_index(subphase: int, layer, row, col):
@@ -295,42 +292,33 @@ def ell_asymptotic_3d(W: float, H: float, D: float, rho: float, n: int) -> float
     return 2.0 * (16.0 * rho**2 * W * H * D / (math.pi * n)) ** (1.0 / 5.0)
 
 
-def ell_for_n(W: float, H: float, rho: float, n: int) -> tuple[float, bool]:
-    """Cell length making bead area equal W*H/(2n); ``(ell, clamped)``.
+def _solve_ell(rho: float, n: int, share: float, measure) -> tuple[float, bool]:
+    """Cell length with ``measure(ell) == share / n``; ``(ell, clamped)``.
 
-    Solves ``ell*w(ell)/2 = W*H/(2n)`` by bracketed root finding.  When even
-    the largest admissible bead (``ell = 4*rho``) is too small, returns
-    ``(4*rho, True)``.
+    Bracketed root finding on ``(0, 4*rho]``.  When even the largest
+    admissible cell (``ell = 4*rho``) is too small, returns ``(4*rho, True)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    target = W * H / (2.0 * n)
+    target = share / n
     hi = 4.0 * rho
-    if hi * bead_width(rho, hi) / 2.0 <= target:
+    if measure(hi) <= target:
         return hi, True
-    f = lambda ell: ell * bead_width(rho, ell) / 2.0 - target
+    f = lambda ell: measure(ell) - target
     lo = hi * 1e-9
     while f(lo) > 0:
         lo *= 1e-3
     ell = brentq(f, lo, hi, rtol=_RTOL, xtol=1e-300)
     return float(ell), False
+
+
+def ell_for_n(W: float, H: float, rho: float, n: int) -> tuple[float, bool]:
+    """Cell length making bead area equal W*H/(2n); ``(ell, clamped)``."""
+    return _solve_ell(rho, n, W * H / 2.0,
+                      lambda ell: bead_area(BeadSpec.create(rho, ell)))
 
 
 def ell_for_n_3d(W: float, H: float, D: float, rho: float, n: int) -> tuple[float, bool]:
     """Cell length making cylinder volume equal W*H*D/(4n); ``(ell, clamped)``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    target = W * H * D / (4.0 * n)
-    hi = 4.0 * rho
-
-    def vol(ell):
-        return math.pi * (bead_width(rho, ell) / 4.0) ** 2 * (ell / 2.0)
-
-    if vol(hi) <= target:
-        return hi, True
-    f = lambda ell: vol(ell) - target
-    lo = hi * 1e-9
-    while f(lo) > 0:
-        lo *= 1e-3
-    ell = brentq(f, lo, hi, rtol=_RTOL, xtol=1e-300)
-    return float(ell), False
+    return _solve_ell(rho, n, W * H * D / 4.0,
+                      lambda ell: cylinder_volume(CylinderSpec.create(rho, ell)))

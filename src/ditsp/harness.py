@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -148,7 +148,4 @@ def write_tour_csv(results, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TOUR_CSV_FIELDS)
-        for r in results:
-            writer.writerow([r.algo, r.n, r.seed, repr(r.total_time),
-                             repr(r.total_length), r.leftover_after_phases,
-                             r.phase_count])
+        writer.writerows(astuple(r) for r in results)

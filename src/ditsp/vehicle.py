@@ -38,13 +38,17 @@ def stop_go_time(delta: float, params: VehicleParams) -> float:
 
     Bang-bang below the speed-saturation distance ``r_vel**2 / r_ctr``,
     bang-cruise-bang above it.  Continuous at the breakpoint, where both
-    branches give ``2 * r_vel / r_ctr``.
+    branches give ``2 * r_vel / r_ctr``.  The cruise branch is floored at the
+    bang-bang time of the breakpoint, which its rounding can fall below by
+    an ulp; the time is then nondecreasing in ``delta`` in floating point.
     """
     if delta < 0:
         raise ValueError("distance must be nonnegative")
-    if delta <= params.turn_radius:
+    rho = params.turn_radius
+    if delta <= rho:
         return 2.0 * math.sqrt(delta / params.r_ctr)
-    return params.r_vel / params.r_ctr + delta / params.r_vel
+    return max(params.r_vel / params.r_ctr + delta / params.r_vel,
+               2.0 * math.sqrt(rho / params.r_ctr))
 
 
 def u_turn_length(rho: float) -> float:

@@ -194,21 +194,56 @@ def test_cylinder_grid_covers_box():
     assert np.all(grid.covers(pts))
 
 
-def test_cylinder_grid_owner_is_nearest_axis():
-    spec = CylinderSpec.create(0.2, 0.3)
-    grid = CylinderGrid(1.0, 0.8, 0.6, spec)
-    rng = substream(7, 6)
-    pts = rng.uniform(size=(2000, 3)) * [1.0, 0.8, 0.6]
+def _nearest_axis_scan(grid, pts):
+    """(layer, row) of the nearest axis by a scan of every axis in the grid,
+    ties to the lowest (layer, row)."""
+    ll, rr = np.meshgrid(np.arange(grid.layer_min, grid.layer_max + 1),
+                         np.arange(grid.row_min, grid.row_max + 1), indexing="ij")
+    ll, rr = ll.ravel(), rr.ravel()
+    ya, za = grid.axis_center(ll, rr)
+    d2 = (pts[:, 1, None] - ya) ** 2 + (pts[:, 2, None] - za) ** 2
+    best = np.argmin(d2, axis=1)  # the first minimum, in (layer, row) order
+    return ll[best], rr[best]
+
+
+def _voronoi_boundary_points(grid, rng, n):
+    """Points equidistant from two or four nearest axes, exact in binary.
+
+    In units of the radius the axes sit at ``(y, z) = (s - t, s + t)`` for
+    integers ``s, t``; a half-integer ``s`` or ``t`` (or both) puts a point
+    on a Voronoi boundary.  Coordinates are multiples of 1/64 of the radius.
+    """
+    s = rng.integers(-64, 512, size=n) / 64.0
+    t = rng.integers(-320, 256, size=n) / 64.0
+    kind = rng.integers(0, 3, size=n)
+    s = np.where(kind != 1, np.floor(s) + 0.5, s)
+    t = np.where(kind != 0, np.floor(t) + 0.5, t)
+    rad = grid.spec.radius
+    pts = np.column_stack([rng.uniform(0.0, grid.W, size=n),
+                           rad * (s - t), rad * (s + t)])
+    inside = ((pts[:, 1] >= 0) & (pts[:, 1] <= grid.H)
+              & (pts[:, 2] >= 0) & (pts[:, 2] <= grid.D))
+    return pts[inside]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rho=st.floats(0.05, 0.5),
+       ell_frac=st.floats(0.5, 1.0), W=st.floats(0.5, 2.0),
+       h=st.floats(0.1, 1.0), d=st.floats(0.1, 1.0))
+def test_cylinder_grid_owner_is_nearest_axis(seed, rho, ell_frac, W, h, d):
+    rng = substream(7, 6, seed)
+    # random points in a random box
+    grid = CylinderGrid(W, W * h, W * h * d,
+                        CylinderSpec.create(rho, 4.0 * rho * ell_frac))
+    pts = rng.uniform(size=(500, 3)) * [grid.W, grid.H, grid.D]
     k, r, c = grid.cell_index(pts)
-    y0, z0 = grid.axis_center(k, r)
-    d_own = (pts[:, 1] - y0) ** 2 + (pts[:, 2] - z0) ** 2
-    # brute force over every axis in the grid
-    layers = np.arange(grid.layer_min, grid.layer_max + 1)
-    rows = np.arange(grid.row_min, grid.row_max + 1)
-    ll, rr = np.meshgrid(layers, rows, indexing="ij")
-    ya, za = grid.axis_center(ll.ravel(), rr.ravel())
-    d_all = ((pts[:, 1, None] - ya) ** 2 + (pts[:, 2, None] - za) ** 2).min(axis=1)
-    assert np.allclose(d_own, d_all, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(np.stack([k, r]), np.stack(_nearest_axis_scan(grid, pts)))
+    # exact ties, on a grid of radius 1/4
+    grid = CylinderGrid(2.0, 2.0, 1.5, CylinderSpec.create(0.25, 1.0))
+    assert grid.spec.radius == 0.25
+    pts = _voronoi_boundary_points(grid, rng, 600)
+    k, r, c = grid.cell_index(pts)
+    assert np.array_equal(np.stack([k, r]), np.stack(_nearest_axis_scan(grid, pts)))
 
 
 def test_cylinder_meta_index():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams, stop_go_time, u_turn_length
@@ -48,20 +50,43 @@ def test_stop_go_matches_oracle_100_cases():
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def test_branch_continuity_at_saturation():
-    params = VehicleParams(r_vel=0.7, r_ctr=1.3)
-    d_sat = params.r_vel**2 / params.r_ctr
-    below = stop_go_time(d_sat * (1 - 1e-12), params)
-    above = stop_go_time(d_sat * (1 + 1e-12), params)
-    assert below == pytest.approx(above, rel=1e-9)
-    assert stop_go_time(d_sat, params) == pytest.approx(
-        2.0 * params.r_vel / params.r_ctr, rel=1e-12)
+# speed and control caps log-uniform over five decades
+_caps = st.floats(-3.0, 2.0).map(lambda e: 10.0**e)
 
 
-def test_monotone_in_distance():
-    params = VehicleParams(r_vel=0.3, r_ctr=2.0)
-    ds = np.linspace(0.0, 2.0, 500)
-    ts = [stop_go_time(float(d), params) for d in ds]
+def _around_saturation(params):
+    """The floats within 3 ulps of the saturation distance, ascending."""
+    below = above = params.turn_radius
+    out = [below]
+    for _ in range(3):
+        below = math.nextafter(below, 0.0)
+        above = math.nextafter(above, math.inf)
+        out = [below, *out, above]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_vel=_caps, r_ctr=_caps)
+def test_branch_continuity_at_saturation(r_vel, r_ctr):
+    params = VehicleParams(r_vel=r_vel, r_ctr=r_ctr)
+    d_sat = params.turn_radius
+    at_sat = 2.0 * r_vel / r_ctr
+    for d in (*_around_saturation(params), d_sat * (1 - 1e-12),
+              d_sat * (1 + 1e-12)):
+        assert stop_go_time(d, params) == pytest.approx(at_sat, rel=1e-11)
+
+
+@settings(max_examples=300, deadline=None)
+# at these caps the cruise branch rounds one ulp below the bang-bang time of
+# the saturation distance unless it is floored there
+@example(r_vel=0.07433941983010071, r_ctr=0.002846187896837431)
+@given(r_vel=_caps, r_ctr=_caps)
+def test_monotone_in_distance(r_vel, r_ctr):
+    params = VehicleParams(r_vel=r_vel, r_ctr=r_ctr)
+    d_sat = params.turn_radius
+    ds = sorted({*_around_saturation(params),
+                 *(float(d) for d in np.linspace(0.0, 4.0 * d_sat, 200))})
+    ts = [stop_go_time(d, params) for d in ds]
     assert all(b >= a for a, b in zip(ts, ts[1:]))
 
 
