@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from ditsp.bounds import turn_penalty
+from ditsp.bounds import _dim, heavy_load
 from ditsp.geometry import (CYCLE_FACTOR_3D, BeadGrid, BeadSpec, CylinderGrid,
                             CylinderSpec, bead_area, cylinder_volume)
 from ditsp.planners import bead_sweep, cylinder_sweep
@@ -70,27 +70,24 @@ def tune_policy(dim: int) -> PolicyTuning:
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    p = 2 if dim == 2 else 4
+    # utilization per unit lam*ell/a, the sweep budget, the printed constant
+    x_factor, budget, c_printed = {
+        2: (1.0, 16.0, C_PRINTED_2D),
+        3: (X_FACTOR_3D, 1024.0 * CYCLE_FACTOR_3D, C_PRINTED_3D),  # 3328
+    }[dim]
+    p = 2 * dim - 2
     g = lambda x: x ** (-p) * _slot_overhead(x)
     res = minimize_scalar(g, bounds=(1e-9, 1.0 - 1e-9), method="bounded",
                           options={"xatol": 1e-13})
     x_star = float(res.x)
-    if dim == 2:
-        c_over_a = x_star
-        coefficient = 16.0 * float(res.fun)
-        c_printed = C_PRINTED_2D
-        coeff_printed = 16.0 * g(c_printed)
-    else:
-        c_over_a = x_star / X_FACTOR_3D
-        budget = 1024.0 * CYCLE_FACTOR_3D  # the 3328 sub-phase budget
-        coefficient = budget * X_FACTOR_3D**4 * float(res.fun)
-        c_printed = C_PRINTED_3D
-        coeff_printed = budget * X_FACTOR_3D**4 * g(c_printed * X_FACTOR_3D)
+    c_over_a = x_star / x_factor
+    # the coefficient at utilization x is scale * g(x)
+    scale = budget * x_factor**p
     return PolicyTuning(
-        dim=dim, x_star=x_star, c_over_a=c_over_a, coefficient=coefficient,
-        c_printed=c_printed,
+        dim=dim, x_star=x_star, c_over_a=c_over_a,
+        coefficient=scale * float(res.fun), c_printed=c_printed,
         printed_consistent=abs(c_over_a - c_printed) / c_printed < 0.01,
-        coefficient_at_printed=coeff_printed)
+        coefficient_at_printed=scale * g(c_printed * x_factor))
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,9 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     gives every cell's slots (:func:`_fifo_slots`).  Blocks keep the
     temporaries in cache; one pass over a whole long run is slower.  Sums
     that feed the statistics are taken per cell, in cell order, so the
-    results do not depend on the block size.  The trace holds each of the
+    results do not depend on the block size; the divergence heuristic's late
+    and early waits, of which only a ratio is read, are summed per block,
+    and only when ``0.9 < utilization < 1``.  The trace holds each of the
     first ``trace_cells`` cells' first 50 slots and first 200 arrivals with
     their services.
     """
@@ -290,12 +289,10 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
         if late_early:
             late = keep & (arrivals >= mid)
             early = keep & (arrivals < mid)
-            for s, e in zip(bounds, bounds[1:]):
-                w, lt, er = waits[s:e], late[s:e], early[s:e]
-                late_sum += float(np.sum(w[lt]))
-                late_n += int(np.count_nonzero(lt))
-                early_sum += float(np.sum(w[er]))
-                early_n += int(np.count_nonzero(er))
+            late_sum += float(waits[late].sum())
+            late_n += int(np.count_nonzero(late))
+            early_sum += float(waits[early].sum())
+            early_n += int(np.count_nonzero(early))
 
     if times:
         all_waits = np.concatenate(times)
@@ -366,16 +363,10 @@ def run_cca(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
 
 def predicted_system_time(dim: int, dims: tuple, params: VehicleParams,
                           lam: float) -> float:
-    """Heavy-load prediction at the tuned utilization: coeff * lam^(2 or 4)."""
-    tuning = tune_policy(dim)
-    pen = turn_penalty(dims[0], params)
-    if dim == 2:
-        W, H = dims
-        return tuning.coefficient * W * H / (params.r_vel * params.r_ctr) \
-            * pen**3 * lam**2
-    W, H, D = dims
-    return tuning.coefficient * W * H * D / (params.r_vel * params.r_ctr**2) \
-        * pen**5 * lam**4
+    """Heavy-load prediction at the tuned utilization:
+    ``heavy_load(tune_policy(dim).coefficient, ...) * lam^(2 or 4)``."""
+    return heavy_load(tune_policy(_dim(dim, dims)).coefficient, dims, params) \
+        * lam ** (2 * dim - 2)
 
 
 def md1_system_time(lam: float, service: float) -> float:

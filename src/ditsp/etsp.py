@@ -58,6 +58,36 @@ def _edge_lengths(points: np.ndarray, order: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points[order] - points[nxt], axis=1)
 
 
+def row_distance(points: np.ndarray):
+    """``dist(u, v)``, the distance between rows ``u`` and ``v`` of an (n, 2)
+    or (n, 3) array.
+
+    The one point distance of 2-opt and the greedy cleanup: the
+    per-dimension differences, squared and summed left to right, then
+    ``sqrt``, on Python floats.  It is bit-for-bit
+    ``np.linalg.norm(..., axis=1)``.  ``math.hypot`` and ``np.linalg.norm``
+    of a 1-D vector (a ``dot`` with fused multiply-adds) each differ from it
+    in the last bit on many pairs.  Swapping ``u`` and ``v`` negates each
+    difference and leaves its square unchanged.
+    """
+    if points.shape[1] == 2:
+        xs, ys = points.T.tolist()
+
+        def dist(u, v):
+            dx = xs[u] - xs[v]
+            dy = ys[u] - ys[v]
+            return math.sqrt(dx * dx + dy * dy)
+    else:
+        xs, ys, zs = points.T.tolist()
+
+        def dist(u, v):
+            dx = xs[u] - xs[v]
+            dy = ys[u] - ys[v]
+            dz = zs[u] - zs[v]
+            return math.sqrt(dx * dx + dy * dy + dz * dz)
+    return dist
+
+
 def _nearest_neighbor_order(points: np.ndarray, start: int) -> np.ndarray:
     """Nearest-neighbour walk from ``start``; ties go by kd-tree order.
 
@@ -112,13 +142,9 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarra
     four endpoints only, so an anchor set aside earlier can keep an improving
     move (3D tours of 50-200 points show this).
 
-    Every distance has one definition: the per-dimension differences,
-    squared and summed left to right, then ``sqrt``.  ``dist`` evaluates it on
-    Python floats, bit-for-bit the ``np.linalg.norm(..., axis=...)`` of
-    ``_edge_lengths``.  ``math.hypot`` and ``np.linalg.norm`` of a 1-D vector
-    (a ``dot`` with fused multiply-adds) are not used: each differs from it
-    in the last bit on many pairs, so move tests and edge lengths could
-    disagree.  Exact distance ties are scanned in kd-tree order.
+    Every distance is :func:`row_distance`'s, bit-for-bit the
+    ``np.linalg.norm(..., axis=...)`` of ``_edge_lengths``, so move tests and
+    edge lengths agree.  Exact distance ties are scanned in kd-tree order.
     """
     n = len(order)
     if n < 4:
@@ -127,22 +153,7 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarra
     _, nbrs = tree.query(points, k=min(n, _KNN + 1))
     rows = nbrs[:, 1:].tolist()
 
-    if points.shape[1] == 2:
-        xs, ys = points.T.tolist()
-
-        def dist(u, v):
-            dx = xs[u] - xs[v]
-            dy = ys[u] - ys[v]
-            return math.sqrt(dx * dx + dy * dy)
-    else:
-        xs, ys, zs = points.T.tolist()
-
-        def dist(u, v):
-            dx = xs[u] - xs[v]
-            dy = ys[u] - ys[v]
-            dz = zs[u] - zs[v]
-            return math.sqrt(dx * dx + dy * dy + dz * dz)
-
+    dist = row_distance(points)
     tour = order.copy()
     pos = np.empty(n, dtype=np.int64)
     pos[tour] = np.arange(n)

@@ -74,12 +74,11 @@ class CylinderSpec:
     rho: float
     ell: float
     radius: float
-    length: float
 
     @classmethod
     def create(cls, rho: float, ell: float) -> "CylinderSpec":
         w = bead_width(rho, ell)
-        return cls(rho=rho, ell=ell, radius=w / 4.0, length=ell)
+        return cls(rho=rho, ell=ell, radius=w / 4.0)
 
     @property
     def w(self) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ditsp.etsp import PointSet, etsp_tour
+from ditsp.etsp import PointSet, etsp_tour, row_distance
 from ditsp.geometry import (
     SUBPHASE_EXPONENTS,
     BeadGrid,
@@ -93,7 +93,7 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray):
     """Nearest-neighbor stop-go sweep over leftover targets.
 
     Each step goes to the remaining point nearest the current position by
-    ``sqrt(dx*dx + dy*dy [+ dz*dz])``, summed left to right (bit-equal to
+    :func:`~ditsp.etsp.row_distance` (bit-equal to
     ``np.linalg.norm(..., axis=1)``), ties to the lowest index.  Candidates
     come from kd-tree neighbour rows: every point's 16 nearest from one
     batched query, re-queried with 4x as many only when a row cannot decide.
@@ -109,33 +109,18 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray):
     m = len(points) if points.size else 0
     if m == 0:
         return [], np.array([], dtype=np.int64)
-    cols = points.T.tolist()
-    if len(cols) == 2:
-        xs, ys = cols
-
-        def dist(q, j):
-            dx = xs[j] - q[0]
-            dy = ys[j] - q[1]
-            return math.sqrt(dx * dx + dy * dy)
-    else:
-        xs, ys, zs = cols
-
-        def dist(q, j):
-            dx = xs[j] - q[0]
-            dy = ys[j] - q[1]
-            dz = zs[j] - q[2]
-            return math.sqrt(dx * dx + dy * dy + dz * dz)
-
+    # the start is row m, the position before step 0
+    rows = np.vstack((points, start))
+    dist = row_distance(rows)
     tree = cKDTree(points)
     k = min(m, 16)
     kd_rows, nbr_rows = tree.query(points, k=k)
     kd_rows = kd_rows.reshape(m, k)
     nbr_rows = nbr_rows.reshape(m, k)
-    kd, nbrs = tree.query(start, k=k)
+    kd, nbrs = tree.query(rows[m], k=k)
     kd, nbrs = np.atleast_1d(kd), np.atleast_1d(nbrs)
     visited = bytearray(m)
-    pos = np.asarray(start, dtype=float)
-    q = pos.tolist()
+    cur = m
     lengths = []
     order = np.empty(m, dtype=np.int64)
     for step in range(m):
@@ -144,18 +129,17 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray):
             best, best_d = -1, math.inf
             for j in nbrs.tolist():
                 if not visited[j]:
-                    dj = dist(q, j)
+                    dj = dist(cur, j)
                     if dj < best_d or (dj == best_d and j < best):
                         best, best_d = j, dj
             if kk == m or kd[-1] > best_d * (1.0 + _KD_MARGIN):
                 break
             kk = min(m, kk * 4)
-            kd, nbrs = tree.query(pos, k=kk)
+            kd, nbrs = tree.query(rows[cur], k=kk)
         lengths.append(best_d)
         order[step] = best
         visited[best] = 1
-        pos = points[best]
-        q = pos.tolist()
+        cur = best
         kd, nbrs = kd_rows[best], nbr_rows[best]
     return lengths, order
 

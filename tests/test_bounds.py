@@ -3,12 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ditsp.bounds import (DTRP3_LOWER_DERIVED, DTRP3_LOWER_PRINTED,
                           approximation_factor_2d, bound_set, dtrp_lower,
                           dtrp_lower_printed_3d, dtrp_upper, reachable_leading,
                           tour_lower_2d, tour_lower_3d, tour_upper_2d,
                           tour_upper_3d, turn_penalty)
+from ditsp.dtrp import predicted_system_time, tune_policy
 from ditsp.vehicle import VehicleParams
 
 UNIT = VehicleParams(r_vel=1.0, r_ctr=1.0)
@@ -107,3 +110,51 @@ def test_bound_set_keys():
                        "dtrp_upper_2d"}
     b3 = bound_set((1.0, 1.0, 1.0), UNIT, n=100)
     assert "dtrp_lower_3d_printed" in b3 and "dtrp_lower_3d_derived" in b3
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dtrp_lower(2, (1.0, 1.0, 1.0), UNIT),
+    lambda: dtrp_lower(3, (1.0, 1.0), UNIT),
+    lambda: dtrp_upper(2, (1.0, 1.0, 1.0), UNIT),
+    lambda: dtrp_upper(3, (1.0, 1.0), UNIT),
+    lambda: dtrp_lower_printed_3d((1.0, 1.0), UNIT),
+])
+def test_dim_must_match_dims(call):
+    with pytest.raises(ValueError, match=r"dim = \d does not match dims = \("):
+        call()
+
+
+_SIDE = st.floats(0.05, 20.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sides=st.tuples(_SIDE, _SIDE, _SIDE), r_vel=st.floats(0.01, 5.0),
+       r_ctr=st.floats(0.05, 20.0).filter(lambda r: abs(r - 1.0) > 1e-3),
+       n=st.integers(1, 10**6), lam=st.floats(0.1, 50.0))
+def test_bounds_match_the_formulas(sides, r_vel, r_ctr, n, lam):
+    # the formulas as printed, in W >= H >= D workspaces and with r_ctr != 1,
+    # where a wrong power of r_ctr shows
+    W, H, D = sorted(sides, reverse=True)
+    params = VehicleParams(r_vel=r_vel, r_ctr=r_ctr)
+    pen = 1.0 + 7.0 * math.pi * r_vel**2 / (3.0 * W * r_ctr)
+    area, volume = W * H / (r_vel * r_ctr), W * H * D / (r_vel * r_ctr**2)
+    approx = lambda x: pytest.approx(x, rel=1e-12)
+    assert tour_lower_2d(W, H, params, n) == approx(
+        0.75 * (6.0 * area) ** (1 / 3) * n ** (2 / 3))
+    assert tour_upper_2d(W, H, params, n) == approx(
+        24.0 * area ** (1 / 3) * pen * n ** (2 / 3))
+    assert tour_lower_3d(W, H, D, params, n) == approx(
+        (5.0 / 6.0) * (20.0 * volume / math.pi) ** (1 / 5) * n ** (4 / 5))
+    assert tour_upper_3d(W, H, D, params, n) == approx(
+        (3328.0 / 15.0) * (math.pi / 16.0) ** (4 / 5) * volume ** (1 / 5)
+        * pen * n ** (4 / 5))
+    assert dtrp_lower(2, (W, H), params) == approx(81.0 / 32.0 * area)
+    assert dtrp_lower(3, (W, H, D), params) == approx(15625.0 / 1944.0 * volume)
+    assert dtrp_lower_printed_3d((W, H, D), params) == approx(
+        7813.0 / 972.0 * volume)
+    assert dtrp_upper(2, (W, H), params) == approx(70.5 * area * pen**3)
+    assert dtrp_upper(3, (W, H, D), params) == approx(2e7 * volume * pen**5)
+    assert predicted_system_time(2, (W, H), params, lam) == approx(
+        tune_policy(2).coefficient * area * pen**3 * lam**2)
+    assert predicted_system_time(3, (W, H, D), params, lam) == approx(
+        tune_policy(3).coefficient * volume * pen**5 * lam**4)

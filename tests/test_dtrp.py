@@ -187,6 +187,13 @@ def test_dim_checks():
         run_cca(DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1.0))
 
 
+def test_predicted_system_time_dim_must_match_dims():
+    with pytest.raises(ValueError, match=r"dim = 2 does not match dims = \("):
+        predicted_system_time(2, (1.0, 1.0, 1.0), SLOW, 10.0)
+    with pytest.raises(ValueError, match=r"dim = 3 does not match dims = \("):
+        predicted_system_time(3, (1.0, 1.0), SLOW, 10.0)
+
+
 def test_predicted_system_time_scales():
     p2 = predicted_system_time(2, (1.0, 1.0), SLOW, 10.0)
     p2b = predicted_system_time(2, (1.0, 1.0), SLOW, 20.0)
