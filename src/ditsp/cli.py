@@ -109,7 +109,7 @@ def cmd_dtrp(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    out = bound_set(_dims(args), _params(args), n=args.n)
+    out = _checked(args, bound_set, _dims(args), _params(args), n=args.n)
     _emit_obj(out, args.out)
     return 0
 
@@ -157,7 +157,7 @@ def cmd_scaling(args) -> int:
     results = run_experiment(config)
     if args.out:
         write_tour_csv(results, args.out)
-    fit = fit_experiment(results)
+    fit = _checked(args, fit_experiment, results)
     report = {"algo": config.algo, "slope": fit.slope, "intercept": fit.intercept,
               "r_squared": fit.r_squared, "n_points": fit.n_points}
     sys.stdout.write(json.dumps(report, indent=2) + "\n")

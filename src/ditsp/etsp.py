@@ -15,6 +15,10 @@ from ditsp.rng import substream
 # candidate the move test could accept
 _GROW_ROWS_LIMIT = 1200
 _KNN = 8
+# a point whose kd distance exceeds the best candidate's row_distance by this
+# relative margin can be neither nearer nor tied: kd distances and
+# row_distance differ by far less
+_KD_MARGIN = 1e-9
 
 
 @dataclass
@@ -88,42 +92,62 @@ def row_distance(points: np.ndarray):
     return dist
 
 
-def _nearest_neighbor_order(points: np.ndarray, start: int) -> np.ndarray:
-    """Nearest-neighbour walk from ``start``; ties go by kd-tree order.
+def nearest_walk(points: np.ndarray, start: int):
+    """Nearest-neighbour walk from row ``start`` over the other rows.
 
-    Every point's 16 nearest neighbours come from one batched kd-tree query.
-    Only when all of them are visited is the tree queried again, for 4x as
-    many each time; at ``n`` it lists every point, so the walk always finds
-    one (the kd-tree rejects non-finite points).
+    Each step goes to the unvisited row nearest the current one by
+    :func:`row_distance`, ties to the lowest index.  Candidates come from
+    kd-tree neighbour rows: every row's 16 nearest from one batched query,
+    scanned in kd order up to the first unvisited entry whose kd distance
+    exceeds the best candidate's by the relative ``_KD_MARGIN``; no entry
+    past it can be nearer or tie (kd distances and :func:`row_distance`
+    differ by far less).  Only a row that runs out before such an entry, and
+    whose last kd distance is within the margin of the best, is queried
+    again, for 4x as many (capped at ``n``, where it lists every point).
+    Points must be finite (the kd-tree rejects others).
+
+    Returns ``(lengths, order)``: ``order`` lists every row but ``start`` in
+    visiting order and each length is the distance that chose its step.
     """
     n = len(points)
-    if n <= 2:
-        return np.arange(n)
+    dist = row_distance(points)
     tree = cKDTree(points)
     k = min(n, 16)
-    _, nbrs = tree.query(points, k=k)
+    kd_rows, nbr_rows = tree.query(points, k=k)
+    # one row is a slice of flat memoryviews, read as Python scalars
+    kd_flat = memoryview(kd_rows.reshape(-1))
+    nbr_flat = memoryview(nbr_rows.reshape(-1))
     visited = bytearray(n)
-    order = [start]
     visited[start] = 1
-    current = start
-    for _ in range(1, n):
-        found = -1
-        for j in nbrs[current].tolist():
-            if not visited[j]:
-                found = j
-                break
-        kk = k
-        while found < 0:
-            kk = min(n, kk * 4)
-            _, idx = tree.query(points[current], k=kk)
-            for j in idx.tolist():
-                if not visited[j]:
-                    found = j
+    cur = start
+    lengths = []
+    order = np.empty(n - 1, dtype=np.int64)
+    for step in range(n - 1):
+        kd, nbrs = kd_flat[cur * k:(cur + 1) * k], nbr_flat[cur * k:(cur + 1) * k]
+        while True:
+            best, best_d, cut = -1, math.inf, math.inf
+            for i, j in enumerate(nbrs):
+                if visited[j]:
+                    continue
+                if kd[i] > cut:
                     break
-        order.append(found)
-        visited[found] = 1
-        current = found
-    return np.array(order, dtype=np.int64)
+                dj = dist(cur, j)
+                if dj < best_d or (dj == best_d and j < best):
+                    best, best_d, cut = j, dj, dj * (1.0 + _KD_MARGIN)
+            else:
+                # the row ran out; a point outside it may still be nearer
+                # or tie unless its last kd distance is past the cut or it
+                # lists every point
+                if len(nbrs) < n and kd[-1] <= cut:
+                    kd, nbrs = tree.query(points[cur], k=min(n, 4 * len(nbrs)))
+                    kd, nbrs = kd.tolist(), nbrs.tolist()
+                    continue
+            break
+        lengths.append(best_d)
+        order[step] = best
+        visited[best] = 1
+        cur = best
+    return lengths, order
 
 
 def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarray:
@@ -239,7 +263,8 @@ def _reverse_arc(tour: np.ndarray, pos: np.ndarray, i: int, j: int):
 def etsp_tour(pset: PointSet, seed: int = 0) -> TourOrder:
     """Heuristic closed tour: nearest-neighbor construction plus 2-opt cleanup.
 
-    Deterministic given ``seed`` (which selects the construction start point).
+    Deterministic given ``seed``, which selects the start of the
+    construction, a :func:`nearest_walk`.
     The 2-opt pass (``_two_opt``) runs first-improvement until no anchor is
     left to try or until ``50 * n`` moves; its scans see every candidate for
     ``n <= _GROW_ROWS_LIMIT`` and each city's ``_KNN`` nearest neighbours
@@ -249,7 +274,7 @@ def etsp_tour(pset: PointSet, seed: int = 0) -> TourOrder:
     n = pset.n
     rng = substream(seed, 0)
     start = int(rng.integers(n))
-    order = _nearest_neighbor_order(points, start)
+    order = np.append(start, nearest_walk(points, start)[1])
     order = _two_opt(points, order, max_moves=50 * n)
     return TourOrder(order=order, edge_lengths=_edge_lengths(points, order))
 

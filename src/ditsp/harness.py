@@ -40,6 +40,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ValueError(f"algo must be one of {ALGOS}")
+        if min(self.ns, default=1) < 1:
+            raise ValueError(f"n must be >= 1, got {min(self.ns)}")
         want = 3 if self.algo == "rec_cca" else 2
         if len(self.dims) != want:
             raise ValueError(f"{self.algo} needs {want} workspace dimensions")

@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from ditsp.etsp import PointSet, etsp_tour, row_distance
+from ditsp.etsp import PointSet, etsp_tour, nearest_walk
 from ditsp.geometry import (
     SUBPHASE_EXPONENTS,
     BeadGrid,
@@ -34,11 +33,6 @@ from ditsp.geometry import (
     ell_for_n_3d,
 )
 from ditsp.vehicle import VehicleParams, stop_go_time, u_turn_length
-
-# relative gap by which a kd neighbour row's farthest distance must exceed the
-# best candidate's before the row is trusted to hold the nearest point: kd
-# distances and the cleanup's own distance may differ in the last bits
-_KD_MARGIN = 1e-9
 
 
 @dataclass
@@ -90,77 +84,42 @@ def _leg_rows(lengths, params: VehicleParams) -> list:
 
 
 def greedy_cleanup(points: np.ndarray, start: np.ndarray):
-    """Nearest-neighbor stop-go sweep over leftover targets.
+    """Nearest-neighbor stop-go sweep over leftover targets from ``start``.
 
-    Each step goes to the remaining point nearest the current position by
-    :func:`~ditsp.etsp.row_distance` (bit-equal to
-    ``np.linalg.norm(..., axis=1)``), ties to the lowest index.  Candidates
-    come from kd-tree neighbour rows: every point's 16 nearest from one
-    batched query, re-queried with 4x as many only when a row cannot decide.
-    A row decides when its farthest kd distance exceeds the best remaining
-    candidate's distance by a relative ``_KD_MARGIN``, so no point outside it
-    can be nearer or tie; at ``m`` neighbours it lists every point.  Points
-    must be finite (the kd-tree rejects others).
+    The walk is :func:`~ditsp.etsp.nearest_walk` with ``start`` as row
+    ``m``: each step goes to the remaining point nearest the current
+    position by :func:`~ditsp.etsp.row_distance` (bit-equal to
+    ``np.linalg.norm(..., axis=1)``), ties to the lowest index.
 
     Returns ``(lengths, order)``: each leg's length is the distance that
     chose it, and ``order`` indexes into ``points``.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = len(points) if points.size else 0
-    if m == 0:
-        return [], np.array([], dtype=np.int64)
-    # the start is row m, the position before step 0
     rows = np.vstack((points, start))
-    dist = row_distance(rows)
-    tree = cKDTree(points)
-    k = min(m, 16)
-    kd_rows, nbr_rows = tree.query(points, k=k)
-    kd_rows = kd_rows.reshape(m, k)
-    nbr_rows = nbr_rows.reshape(m, k)
-    kd, nbrs = tree.query(rows[m], k=k)
-    kd, nbrs = np.atleast_1d(kd), np.atleast_1d(nbrs)
-    visited = bytearray(m)
-    cur = m
-    lengths = []
-    order = np.empty(m, dtype=np.int64)
-    for step in range(m):
-        kk = k
-        while True:
-            best, best_d = -1, math.inf
-            for j in nbrs.tolist():
-                if not visited[j]:
-                    dj = dist(cur, j)
-                    if dj < best_d or (dj == best_d and j < best):
-                        best, best_d = j, dj
-            if kk == m or kd[-1] > best_d * (1.0 + _KD_MARGIN):
-                break
-            kk = min(m, kk * 4)
-            kd, nbrs = tree.query(rows[cur], k=kk)
-        lengths.append(best_d)
-        order[step] = best
-        visited[best] = 1
-        cur = best
-        kd, nbrs = kd_rows[best], nbr_rows[best]
-    return lengths, order
+    return nearest_walk(rows, len(rows) - 1)
 
 
-def _group_key(cols) -> np.ndarray:
+def _group_key(cols, scale: int = 1) -> np.ndarray:
     """One int64 per row of equal-length integer key columns, equal iff the
     rows are.
 
     Columns are offset to 0 and combined in mixed radix, first column most
     significant, so the keys sort as the rows do lexicographically.  The keys
-    lie in ``[0, span)``, ``span`` the product of the column spans, which must
-    stay below 2**63; :func:`_serve_and_order` needs ``span * m < 2**63``.
+    lie in ``[0, span)``, ``span`` the product of the column spans; a
+    ``ValueError`` names ``span`` and ``scale`` unless ``span * scale <
+    2**63``, the room a caller needs to multiply the keys by ``scale``.
     Each column is reduced on its own: along axis 0 of a (1.5e5, 3) int64
     array, ``min`` is about 30x slower.
     """
     if len(cols[0]) == 0:
         return np.empty(0, dtype=np.int64)
+    lows = [col.min() for col in cols]
+    widths = [int(col.max()) - int(lo) + 1 for col, lo in zip(cols, lows)]
+    span = math.prod(widths)
+    if span * scale >= 2**63:
+        raise ValueError(f"key span {span} times {scale} is not below 2**63")
     key = 0
-    for col in cols:
-        lo = col.min()
-        key = key * (col.max() - lo + 1) + (col - lo)
+    for col, lo, width in zip(cols, lows, widths):
+        key = key * width + (col - lo)
     return key
 
 
@@ -174,7 +133,8 @@ def _serve_and_order(unserved: np.ndarray, idx: np.ndarray, keys, row_top: int):
     ``(layer..., row_top - row, +-col)``, the column negated on odd ranks, is
     a bijection of the meta-cell key.  One sort of ``sweep_key * m +
     position`` puts each meta-cell's targets in a run, oldest first, and the
-    runs in sweep order.  This needs ``(key span) * m < 2**63``.  On 1e6
+    runs in sweep order.  This needs ``(key span) * m < 2**63``, else a
+    ``ValueError`` names both numbers.  On 1e6
     uniform points (``r_vel`` 0.1 and 0.3, unit workspace) the largest
     ``(key + 1) * m`` is 7.4e13 for :func:`rec_bta`, 8e-6 of 2**63, and
     6.5e12 for :func:`rec_cca`; in 2D it grows about as ``n**(7/3)``.
@@ -183,7 +143,7 @@ def _serve_and_order(unserved: np.ndarray, idx: np.ndarray, keys, row_top: int):
     *layers, row, col = keys
     rank = row_top - row  # 0 for the top row
     signed_col = np.where(rank % 2 == 0, col, -col)
-    sweep = _group_key((*layers, rank, signed_col))
+    sweep = _group_key((*layers, rank, signed_col), m)
     ranked = np.sort(sweep * m + np.arange(m))
     # a run starts where the sweep key changes; sweep keys are >= 0
     first = ranked[np.diff(ranked // m, prepend=-1) != 0] % m

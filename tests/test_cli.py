@@ -140,6 +140,18 @@ def test_bad_workspace_exits_with_one_line(command, width):
     assert message.startswith(f"{command[0]}: dims ") and "\n" not in message
 
 
+@pytest.mark.parametrize("argv, word", [
+    (["tour", "--n", "0"], "n"), (["tour", "--algo", "recbta", "--n", "-5"], "n"),
+    (["bounds", "--n", "0"], "n"), (["scaling", "--ns", "100"], "two"),
+    (["scaling", "--ns", "20", "40", "--trials", "0"], "two")])
+def test_bad_n_exits_with_one_line(argv, word):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert message.startswith(f"{argv[0]}: ") and "\n" not in message
+    assert word in message.split()
+
+
 @pytest.mark.parametrize("flag", [["--n=7"], ["--n", "7"]])
 def test_config_file_yields_to_flags(tmp_path, flag):
     cfgfile = tmp_path / "cfg.json"

@@ -7,9 +7,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 import ditsp.etsp
-from ditsp.etsp import (PointSet, _nearest_neighbor_order, _reverse_arc,
-                        _two_opt, etsp_tour, held_karp_length,
-                        long_edge_count, worst_case_grid)
+from ditsp.etsp import (_KD_MARGIN, PointSet, _reverse_arc, _two_opt,
+                        etsp_tour, held_karp_length, long_edge_count,
+                        nearest_walk, row_distance, worst_case_grid)
 from ditsp.rng import substream
 
 
@@ -125,7 +125,10 @@ def test_etsp_deterministic_given_seed():
 # "-dense" input has n <= _GROW_ROWS_LIMIT, where 2-opt rows grow to every
 # point (once a dense distance matrix).  grid-900-dense-ties was re-recorded
 # when that matrix went: its exact distance ties are now scanned in kd-tree
-# order instead of argsort order (length 30.82755... -> 30.79994...)
+# order instead of argsort order (length 30.82755... -> 30.79994...).  Both
+# grid pins were re-recorded when the walk's ties went to the lowest index
+# instead of kd order (grid-900: 30.79994... -> 30.31734..., grid-1600:
+# 40.88924... -> 40.36227...)
 PINNED_TOURS = {
     "uniform-1000-dense":
         ("b30518cd4eb02e5270f2aeaa583ac03743a1c6e094ef2daaab2643b6c6c8d833",
@@ -140,10 +143,10 @@ PINNED_TOURS = {
         ("adc74b89ceea7bbf2b9b41c33ee31e3a871b09f4bce15e6a96886bc34ad6f912",
          lambda: substream(21, 3).uniform(size=(700, 3))),
     "grid-1600-ties":
-        ("d43ebeffc459bbd469a954a02e9102cb88b153811cddce549a400f53d58de24d",
+        ("78e018bd1a91abf8a76c30b8015203c13f2187b8b9ee6a74f35bb85c3cfdf0fe",
          lambda: worst_case_grid(1600, 2, 1.0, 1.0).points),
     "grid-900-dense-ties":
-        ("6ce1409c666782c109fa0117b2352dd80e1cba0b9675801874016f08c0cfb75d",
+        ("69f743522160b7fcd287ab71ab93c1a806bbe0ed7e6ef19ac9b5a6a09bf085f7",
          lambda: worst_case_grid(900, 2, 1.0, 1.0).points),
 }
 
@@ -181,6 +184,20 @@ class _CountingTree(cKDTree):
         return super().query(x, k=k, **kw)
 
 
+def _tie_cases(d):
+    """Inputs with many exact distance ties: grids, duplicates, rounding."""
+    rng = substream(11, 6, d)
+    grids = [worst_case_grid(n, d, 1.0, 1.0, 1.0).points for n in (16, 100, 400)]
+    base = rng.uniform(size=(50, d))
+    return grids + [base[rng.integers(50, size=300)],
+                    np.round(rng.uniform(size=(400, d)), 1)]
+
+
+def _walk(points, start):
+    lengths, order = nearest_walk(points, start)
+    return lengths, np.append(start, order)
+
+
 def test_nearest_neighbor_walk_matches_brute_force(monkeypatch):
     monkeypatch.setattr(ditsp.etsp, "cKDTree", _CountingTree)
     rng = substream(11, 5)
@@ -191,13 +208,31 @@ def test_nearest_neighbor_walk_matches_brute_force(monkeypatch):
     clustered = np.concatenate([c + rng.uniform(size=(m, 2))
                                 for c, m in zip(centres, sizes)])
     inputs = [rng.uniform(size=(n, d)) for n, d in
-              ((3, 2), (17, 2), (500, 2), (400, 3))] + [clustered]
+              ((1, 2), (2, 3), (3, 2), (17, 2), (500, 2), (400, 3))]
+    inputs += _tie_cases(2) + _tie_cases(3) + [clustered]
     for pts in inputs:
         _CountingTree.ks.clear()
         for start in (0, len(pts) // 2, len(pts) - 1):
-            got = _nearest_neighbor_order(pts, start)
+            lengths, got = _walk(pts, start)
             assert np.array_equal(got, _brute_force_walk(pts, start))
+            legs = np.linalg.norm(pts[got[1:]] - pts[got[:-1]], axis=1)
+            assert lengths == legs.tolist()
     assert {16, 64, 256, len(clustered)} <= set(_CountingTree.ks)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_kd_distances_within_margin_of_row_distance(d, scale):
+    # nearest_walk is exact only if a kd distance and row_distance of the
+    # same pair differ by less than _KD_MARGIN relative
+    pts = substream(11, 7, d).uniform(size=(2000, d)) * scale
+    kd, nbrs = cKDTree(pts).query(pts, k=16)
+    dist = row_distance(pts)
+    exact = np.array([[dist(u, v) for v in row]
+                      for u, row in enumerate(nbrs.tolist())])
+    apart = exact > 0
+    gap = np.abs(kd - exact)[apart] / exact[apart]
+    assert gap.max() < _KD_MARGIN and np.all(kd[~apart] == 0)
 
 
 def _improving_moves(points, tour):
@@ -216,7 +251,7 @@ def test_two_opt_fixed_point_is_local_optimum(d):
     # 2-opt move; one call need not reach such a tour (see _two_opt)
     for k, n in enumerate((5, 12, 50, 120, 200, 200)):
         pts = substream(13, 10 * d + k).uniform(size=(n, d))
-        tour = _nearest_neighbor_order(pts, 0)
+        tour = _walk(pts, 0)[1]
         for _ in range(50):
             nxt = _two_opt(pts, tour, max_moves=50 * n)
             if np.array_equal(nxt, tour):
@@ -299,7 +334,7 @@ def test_two_opt_matches_dense_scan(monkeypatch, d):
     for k, n in enumerate((50, 300, 1000, 1200)):
         pts = substream(17, 10 * d + k).uniform(size=(n, d))
         for start in (0, n // 2):
-            order = _nearest_neighbor_order(pts, start)
+            order = _walk(pts, start)[1]
             _CountingTree.ks.clear()
             got = _two_opt(pts, order, max_moves=50 * n)
             grown += [q for q in _CountingTree.ks if q > ditsp.etsp._KNN + 1]

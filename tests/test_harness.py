@@ -105,6 +105,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(algo="rec_cca", dims=(1.0, 1.0), params=SLOW,
                          ns=(10,), n_seeds=1)
+    for ns in ((0,), (10, -5)):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {min(ns)}"):
+            ExperimentConfig(algo="sgs", dims=(1.0, 1.0), params=SLOW, ns=ns,
+                             n_seeds=1)
 
 
 @pytest.mark.parametrize("dims", [(float("nan"), 1.0), (1.0, -1.0),

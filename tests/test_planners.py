@@ -396,6 +396,14 @@ def test_greedy_cleanup_small_grids_match_brute_force(cells, d):
     assert lengths == want_lengths
 
 
+def test_serve_and_order_rejects_key_span_past_int64():
+    # four meta-cells in one row; their sweep keys times m would overflow
+    cols = np.array([0, 2**62, 1, 2**61], dtype=np.int64)
+    unserved = np.ones(4, dtype=bool)
+    with pytest.raises(ValueError, match=f"span {2**62 + 1} times 4 "):
+        _serve_and_order(unserved, np.arange(4), (np.zeros(4, np.int64), cols), 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4),
                           st.integers(-5, 5), st.integers(1, 3)), max_size=200),
