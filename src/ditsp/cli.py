@@ -89,6 +89,8 @@ def cmd_dtrp(args) -> int:
         raise SystemExit("policy cca requires --dim 3")
     if args.policy == "bta" and len(dims) != 2:
         raise SystemExit("policy bta requires --dim 2")
+    if args.seeds < 1:
+        raise SystemExit(f"dtrp: --seeds must be >= 1, got {args.seeds}")
     rows = []
     ok = True
     trace = [] if args.trace else None

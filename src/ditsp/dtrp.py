@@ -55,18 +55,14 @@ class PolicyTuning:
     coefficient_at_printed: float
 
 
-def _slot_overhead(x: float) -> float:
-    """Mean slotted-queue system time in sweep periods: 1 + x/(2(1-x))."""
-    return 1.0 + x / (2.0 * (1.0 - x))
-
-
 @functools.cache
 def tune_policy(dim: int) -> PolicyTuning:
     """Minimize the heavy-load system-time coefficient over slot utilization.
 
-    The system time scales as ``g(x) = x**-p * (1 + x/(2(1-x)))`` with p = 2
-    in the plane and p = 4 in space; the cell size realizing utilization x is
-    ``ell = x * a / lam`` (2D) or ``ell = x * a / (X_FACTOR_3D * lam)`` (3D).
+    The system time scales as ``g(x) = x**-p * (1 + x/(2(1-x)))``, the M/D/1
+    time at unit service, with p = 2 in the plane and p = 4 in space; the
+    cell size realizing utilization x is ``ell = x * a / lam`` (2D) or
+    ``ell = x * a / (X_FACTOR_3D * lam)`` (3D).
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
@@ -76,7 +72,7 @@ def tune_policy(dim: int) -> PolicyTuning:
         3: (X_FACTOR_3D, 1024.0 * CYCLE_FACTOR_3D, C_PRINTED_3D),  # 3328
     }[dim]
     p = 2 * dim - 2
-    g = lambda x: x ** (-p) * _slot_overhead(x)
+    g = lambda x: x ** (-p) * md1_system_time(x, 1.0)
     res = minimize_scalar(g, bounds=(1e-9, 1.0 - 1e-9), method="bounded",
                           options={"xatol": 1e-13})
     x_star = float(res.x)
@@ -128,7 +124,8 @@ class DtrpStats:
     mean_system_time: float
     mean_queue_len: float       # whole-system time average, by Little's law
     served: int
-    divergent: bool
+    divergent: bool             # utilization >= 1; run_bta and run_cca size
+                                # cells to utilization <= x* < 1
     utilization: float
     sweep_period: float
     cell_rate: float            # per-cell Poisson arrival rate
@@ -227,36 +224,32 @@ def _draw_blocks(config: DtrpConfig, period: float, cell_rate: float):
 
 
 def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
-                    utilization: float, trace: list | None = None,
+                    trace: list | None = None,
                     trace_cells: int = 3) -> DtrpStats:
     """Slotted-queue simulation of a sample of independent cells.
 
     Each cell gets one service slot per period at a uniform random offset;
     the slot serves the oldest target that arrived before it (FIFO within a
     cell), so the k-th arrival departs at slot ``max(first slot after its
-    arrival, departure slot of arrival k-1 + 1)`` — a running maximum.
+    arrival, departure slot of arrival k-1 + 1)`` — a running maximum.  The
+    utilization is ``cell_rate * period``, and the run is divergent iff it
+    is at least 1: a slotted queue is stable iff its utilization is below 1.
 
     Cells are simulated in blocks of about ``_BLOCK_ARRIVALS`` arrivals
     (:func:`_draw_blocks`): each block's arrivals, concatenated in (cell,
     time) order, go through whole-array passes, and one running maximum
     gives every cell's slots (:func:`_fifo_slots`).  Blocks keep the
     temporaries in cache; one pass over a whole long run is slower.  Sums
-    that feed the statistics are taken per cell, in cell order, so the
-    results do not depend on the block size; the divergence heuristic's late
-    and early waits, of which only a ratio is read, are summed per block,
-    and only when ``0.9 < utilization < 1``.  The trace holds each of the
-    first ``trace_cells`` cells' first 50 slots and first 200 arrivals with
-    their services.
+    that feed the statistics are taken per cell and added in cell order, so
+    the results do not depend on the block size.  The trace holds each of
+    the first ``trace_cells`` cells' first 50 slots and first 200 arrivals
+    with their services.
     """
     horizon = config.n_slots * period
     warmup = config.warmup_fraction * horizon
-    mid = (warmup + horizon) / 2.0
-    # the divergence heuristic reads the late and early means only here
-    late_early = 0.9 < utilization < 1.0
     times = []
     served_total = 0
     occupancy = 0.0  # integral of queue length over the post-warmup window
-    late_sum = late_n = early_sum = early_n = 0.0
     first_target_id = 0
     for cells, offsets, arrs in _draw_blocks(config, period, cell_rate):
         counts = [len(a) for a in arrs]
@@ -270,29 +263,21 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
         base = np.floor(first, out=first).astype(np.int64)
         base += 1
         depart = offset + _fifo_slots(base, starts) * period
-        bounds = starts.tolist()
         if trace is not None and cells[0] < trace_cells:
-            _trace_block(trace, cells, offsets, bounds, arrivals, depart,
-                         first_target_id, period, horizon,
+            _trace_block(trace, cells, offsets, starts.tolist(), arrivals,
+                         depart, first_target_id, period, horizon,
                          min(config.n_slots, 50), trace_cells)
         first_target_id += len(arrivals)
         in_run = depart < horizon
         served_total += int(np.count_nonzero(in_run))
         keep = in_run & (arrivals >= warmup)
-        waits = depart - arrivals
-        times.append(waits[keep])
+        times.append((depart - arrivals)[keep])
         span = np.minimum(depart, horizon)
         span -= np.maximum(arrivals, warmup)
         np.maximum(span, 0.0, out=span)
-        for s, e in zip(bounds, bounds[1:]):
-            occupancy += float(span[s:e].sum())
-        if late_early:
-            late = keep & (arrivals >= mid)
-            early = keep & (arrivals < mid)
-            late_sum += float(waits[late].sum())
-            late_n += int(np.count_nonzero(late))
-            early_sum += float(waits[early].sum())
-            early_n += int(np.count_nonzero(early))
+        # every cell of a block has arrivals, so no segment is empty
+        for cell_sum in np.add.reduceat(span, starts[:-1]).tolist():
+            occupancy += cell_sum
 
     if times:
         all_waits = np.concatenate(times)
@@ -301,18 +286,16 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
         mean_t = float("nan")
     window = horizon - warmup
     queue_per_cell = occupancy / (window * config.n_sample_cells)
-    expected_queue = cell_rate * mean_t if mean_t == mean_t else float("nan")
+    expected_queue = cell_rate * mean_t
     residual = (abs(queue_per_cell - expected_queue) / expected_queue
-                if expected_queue and expected_queue > 0 else float("nan"))
-    divergent = utilization >= 1.0
-    if not divergent and early_n > 0 and late_n > 0 and late_early:
-        divergent = (late_sum / late_n) > 1.5 * (early_sum / early_n)
+                if expected_queue > 0 else float("nan"))
+    utilization = cell_rate * period
     # whole-system queue length via Little's law on the total stream
-    mean_queue = config.lam * mean_t if mean_t == mean_t else float("nan")
     return DtrpStats(
-        mean_system_time=mean_t, mean_queue_len=mean_queue,
-        served=served_total, divergent=divergent, utilization=utilization,
-        sweep_period=period, cell_rate=cell_rate, little_residual=residual)
+        mean_system_time=mean_t, mean_queue_len=config.lam * mean_t,
+        served=served_total, divergent=utilization >= 1.0,
+        utilization=utilization, sweep_period=period, cell_rate=cell_rate,
+        little_residual=residual)
 
 
 def _trace_block(trace, cells, offsets, bounds, arrivals, depart,
@@ -341,8 +324,8 @@ def _trace_block(trace, cells, offsets, bounds, arrivals, depart,
 
 
 def _run_policy(config: DtrpConfig, dim: int, trace: list | None) -> DtrpStats:
-    ell, period, rate, x = _size_cell(config, tune_policy(dim).x_star)
-    stats = _simulate_cells(config, period, rate, x, trace=trace)
+    ell, period, rate, _ = _size_cell(config, tune_policy(dim).x_star)
+    stats = _simulate_cells(config, period, rate, trace=trace)
     stats.cell_clamped = ell == 4.0 * config.params.turn_radius
     return stats
 
@@ -364,7 +347,13 @@ def run_cca(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
 def predicted_system_time(dim: int, dims: tuple, params: VehicleParams,
                           lam: float) -> float:
     """Heavy-load prediction at the tuned utilization:
-    ``heavy_load(tune_policy(dim).coefficient, ...) * lam^(2 or 4)``."""
+    ``heavy_load(tune_policy(dim).coefficient, ...) * lam^(2 or 4)``.
+
+    This is the bound's law, a wait of ``1 + x/(2(1-x))`` sweep periods per
+    cell.  The simulated mean follows ``P(1/2 + x/(2(1-x)))``, half a period
+    to the next slot plus the M/D/1 queueing term, so at ``x*`` the
+    prediction is 1.281 times that value in 2D and 1.175 times in 3D.
+    """
     return heavy_load(tune_policy(_dim(dim, dims)).coefficient, dims, params) \
         * lam ** (2 * dim - 2)
 

@@ -42,6 +42,8 @@ class ExperimentConfig:
             raise ValueError(f"algo must be one of {ALGOS}")
         if min(self.ns, default=1) < 1:
             raise ValueError(f"n must be >= 1, got {min(self.ns)}")
+        if self.n_seeds < 1:
+            raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
         want = 3 if self.algo == "rec_cca" else 2
         if len(self.dims) != want:
             raise ValueError(f"{self.algo} needs {want} workspace dimensions")

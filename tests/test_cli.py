@@ -143,7 +143,8 @@ def test_bad_workspace_exits_with_one_line(command, width):
 @pytest.mark.parametrize("argv, word", [
     (["tour", "--n", "0"], "n"), (["tour", "--algo", "recbta", "--n", "-5"], "n"),
     (["bounds", "--n", "0"], "n"), (["scaling", "--ns", "100"], "two"),
-    (["scaling", "--ns", "20", "40", "--trials", "0"], "two")])
+    (["scaling", "--ns", "20", "40", "--trials", "0"], "n_seeds"),
+    (["tour", "--trials", "0"], "n_seeds"), (["dtrp", "--seeds", "0"], "--seeds")])
 def test_bad_n_exits_with_one_line(argv, word):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -109,6 +109,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"n must be >= 1, got {min(ns)}"):
             ExperimentConfig(algo="sgs", dims=(1.0, 1.0), params=SLOW, ns=ns,
                              n_seeds=1)
+    for n_seeds in (0, -2):
+        with pytest.raises(ValueError,
+                           match=f"n_seeds must be >= 1, got {n_seeds}"):
+            ExperimentConfig(algo="sgs", dims=(1.0, 1.0), params=SLOW,
+                             ns=(10,), n_seeds=n_seeds)
 
 
 @pytest.mark.parametrize("dims", [(float("nan"), 1.0), (1.0, -1.0),
