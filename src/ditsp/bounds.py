@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ditsp.geometry import CYCLE_FACTOR_3D
+from ditsp.geometry import CYCLE_FACTOR_3D, _check_n
 from ditsp.vehicle import VehicleParams, u_turn_length
 
 # 3D dynamic lower-bound coefficient: printed value and the value obtained by
@@ -143,8 +143,3 @@ def bound_set(dims: tuple, params: VehicleParams, n: int = 1000) -> dict:
                "reachable_volume_coeff": reach}
     out["n"] = n
     return out
-
-
-def _check_n(n: int):
-    if n < 1:
-        raise ValueError("n must be >= 1")

@@ -56,7 +56,7 @@ def _emit_obj(obj, out):
 def _dims(args):
     if args.dim == 3:
         if args.D is None:
-            raise SystemExit("--D is required for --dim 3")
+            raise SystemExit(f"{args.command}: --D is required for --dim 3")
         return (args.W, args.H, args.D)
     return (args.W, args.H)
 
@@ -86,9 +86,9 @@ def cmd_dtrp(args) -> int:
     dims = _dims(args)
     run = run_bta if args.policy == "bta" else run_cca
     if args.policy == "cca" and len(dims) != 3:
-        raise SystemExit("policy cca requires --dim 3")
+        raise SystemExit("dtrp: policy cca requires --dim 3")
     if args.policy == "bta" and len(dims) != 2:
-        raise SystemExit("policy bta requires --dim 2")
+        raise SystemExit("dtrp: policy bta requires --dim 2")
     if args.seeds < 1:
         raise SystemExit(f"dtrp: --seeds must be >= 1, got {args.seeds}")
     rows = []

@@ -16,11 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from ditsp.bounds import _dim, heavy_load
 from ditsp.geometry import (CYCLE_FACTOR_3D, BeadGrid, BeadSpec, CylinderGrid,
-                            CylinderSpec, bead_area, cylinder_volume)
+                            CylinderSpec, bead_area, cylinder_volume,
+                            solve_cell)
 from ditsp.planners import bead_sweep, cylinder_sweep
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
@@ -139,9 +140,13 @@ def _size_cell(config: DtrpConfig, x_target: float):
     The period is one full sweep of the cell's grid at the speed cap: the
     phase-1 bead sweep in 2D, and in 3D ``CYCLE_FACTOR_3D`` times the sweep
     of every row of every layer of the cylinder covering, one
-    cell-enlargement cycle.  Returns ``(ell, period, cell_rate,
-    utilization)``; if even the largest admissible cell (ell = 4 rho) cannot
-    reach the target, it is used as is.
+    cell-enlargement cycle.  The length comes from
+    :func:`~ditsp.geometry.solve_cell`; the period jumps where the grid
+    gains a row or a layer, so the utilization is a sawtooth in ``ell`` and
+    the solver returns one of its crossings of ``x_target``.  Returns
+    ``(ell, period, cell_rate, clamped)``; if even the largest admissible
+    cell (ell = 4 rho) cannot reach the target, it is used as is and
+    ``clamped`` is True.
     """
     params = config.params
     rho = params.turn_radius
@@ -162,13 +167,9 @@ def _size_cell(config: DtrpConfig, x_target: float):
         rate, period = measured(ell)
         return rate * period - x_target
 
-    ell_hi = 4.0 * rho
-    if excess(ell_hi) <= 0.0:
-        ell = ell_hi
-    else:
-        ell = brentq(excess, 1e-9 * rho, ell_hi, rtol=1e-12)
+    ell, clamped = solve_cell(rho, excess)
     rate, period = measured(ell)
-    return ell, period, rate, rate * period
+    return ell, period, rate, clamped
 
 
 def _fifo_slots(base: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -324,9 +325,9 @@ def _trace_block(trace, cells, offsets, bounds, arrivals, depart,
 
 
 def _run_policy(config: DtrpConfig, dim: int, trace: list | None) -> DtrpStats:
-    ell, period, rate, _ = _size_cell(config, tune_policy(dim).x_star)
+    _, period, rate, clamped = _size_cell(config, tune_policy(dim).x_star)
     stats = _simulate_cells(config, period, rate, trace=trace)
-    stats.cell_clamped = ell == 4.0 * config.params.turn_radius
+    stats.cell_clamped = clamped
     return stats
 
 

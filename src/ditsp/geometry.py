@@ -291,33 +291,43 @@ def ell_asymptotic_3d(W: float, H: float, D: float, rho: float, n: int) -> float
     return 2.0 * (16.0 * rho**2 * W * H * D / (math.pi * n)) ** (1.0 / 5.0)
 
 
-def _solve_ell(rho: float, n: int, share: float, measure) -> tuple[float, bool]:
-    """Cell length with ``measure(ell) == share / n``; ``(ell, clamped)``.
-
-    Bracketed root finding on ``(0, 4*rho]``.  When even the largest
-    admissible cell (``ell = 4*rho``) is too small, returns ``(4*rho, True)``.
-    """
+def _check_n(n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
-    target = share / n
+
+
+def solve_cell(rho: float, excess) -> tuple[float, bool]:
+    """Cell length where ``excess`` crosses zero on ``(0, 4*rho]``;
+    ``(ell, clamped)``.
+
+    ``excess(ell)`` is negative for short cells.  When even the largest
+    admissible cell is not enough, ``excess(4*rho) <= 0``, the result is
+    ``(4*rho, True)``.  Otherwise the bracket's low end starts at
+    ``4e-9*rho`` and shrinks until ``excess`` is negative there, and
+    ``brentq`` solves to a relative tolerance of a few ulps.  Where
+    ``excess`` involves a sweep period it is a sawtooth, not monotone: the
+    grid's row and layer counts are floors, so it crosses zero several
+    times close to the root, and ``brentq`` returns one of those crossings.
+    """
     hi = 4.0 * rho
-    if measure(hi) <= target:
+    if excess(hi) <= 0:
         return hi, True
-    f = lambda ell: measure(ell) - target
     lo = hi * 1e-9
-    while f(lo) > 0:
+    while excess(lo) > 0:
         lo *= 1e-3
-    ell = brentq(f, lo, hi, rtol=_RTOL, xtol=1e-300)
+    ell = brentq(excess, lo, hi, rtol=_RTOL, xtol=1e-300)
     return float(ell), False
 
 
 def ell_for_n(W: float, H: float, rho: float, n: int) -> tuple[float, bool]:
     """Cell length making bead area equal W*H/(2n); ``(ell, clamped)``."""
-    return _solve_ell(rho, n, W * H / 2.0,
-                      lambda ell: bead_area(BeadSpec.create(rho, ell)))
+    _check_n(n)
+    return solve_cell(rho, lambda ell: bead_area(BeadSpec.create(rho, ell))
+                      - W * H / 2.0 / n)
 
 
 def ell_for_n_3d(W: float, H: float, D: float, rho: float, n: int) -> tuple[float, bool]:
     """Cell length making cylinder volume equal W*H*D/(4n); ``(ell, clamped)``."""
-    return _solve_ell(rho, n, W * H * D / 4.0,
-                      lambda ell: cylinder_volume(CylinderSpec.create(rho, ell)))
+    _check_n(n)
+    return solve_cell(rho, lambda ell: cylinder_volume(CylinderSpec.create(rho, ell))
+                      - W * H * D / 4.0 / n)

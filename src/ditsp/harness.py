@@ -92,20 +92,16 @@ def run_trial(config: ExperimentConfig, n: int, seed: int) -> TrialResult:
         pset = PointSet(points=sample_uniform(n, dims, rng))
 
     if config.algo in ("sgs", "sgs_grid"):
-        tour = stop_go_stop(pset, params, seed=seed)
-        leftover, phases = 0, 0
+        tour, reports = stop_go_stop(pset, params, seed=seed), []
     elif config.algo == "rec_bta":
-        tour, reports = rec_bta(pset, params, W=dims[0], H=dims[1])
-        leftover = reports[-1].leftover_after
-        phases = len(reports)
+        tour, reports = rec_bta(pset, params, *dims)
     else:
-        tour, reports = rec_cca(pset, params, W=dims[0], H=dims[1], D=dims[2])
-        leftover = reports[-1].leftover_after
-        phases = len(reports)
+        tour, reports = rec_cca(pset, params, *dims)
+    leftover = reports[-1].leftover_after if reports else 0
     return TrialResult(algo=config.algo, n=n, seed=seed,
                        total_time=tour.total_time,
                        total_length=tour.total_length,
-                       leftover_after_phases=leftover, phase_count=phases)
+                       leftover_after_phases=leftover, phase_count=len(reports))
 
 
 def _run_trial_star(args):

@@ -13,7 +13,7 @@ def test_tour_csv(tmp_path, capsys):
     rc = main(["tour", "--algo", "sgs", "--n", "30", "--trials", "2",
                "--rvel", "1", "--rctr", "1", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 2
     assert rows[0]["algo"] == "sgs"
     assert float(rows[0]["total_time"]) > 0
@@ -34,7 +34,7 @@ def test_dtrp_csv_and_trace(tmp_path):
     rc = main(["dtrp", "--policy", "bta", "--lambda", "20", "--horizon", "50",
                "--seeds", "2", "--out", str(out), "--trace", str(trace)])
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 2
     assert rows[0]["divergent_flag"] == "0"
     events = json.loads(trace.read_text())
@@ -90,7 +90,7 @@ def test_config_file_defaults(tmp_path):
                                    "out": str(tmp_path / "c.csv")}))
     rc = main(["--config", str(cfgfile), "tour"])
     assert rc == 0
-    rows = list(csv.DictReader((tmp_path / "c.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "c.csv").read_text().splitlines()))
     assert len(rows) == 2 and rows[0]["n"] == "25"
 
 
@@ -144,7 +144,9 @@ def test_bad_workspace_exits_with_one_line(command, width):
     (["tour", "--n", "0"], "n"), (["tour", "--algo", "recbta", "--n", "-5"], "n"),
     (["bounds", "--n", "0"], "n"), (["scaling", "--ns", "100"], "two"),
     (["scaling", "--ns", "20", "40", "--trials", "0"], "n_seeds"),
-    (["tour", "--trials", "0"], "n_seeds"), (["dtrp", "--seeds", "0"], "--seeds")])
+    (["tour", "--trials", "0"], "n_seeds"), (["dtrp", "--seeds", "0"], "--seeds"),
+    (["dtrp", "--policy", "cca"], "cca"),
+    (["tour", "--dim", "3", "--algo", "reccca"], "--D")])
 def test_bad_n_exits_with_one_line(argv, word):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -160,7 +162,7 @@ def test_config_file_yields_to_flags(tmp_path, flag):
     out = tmp_path / "t.csv"
     rc = main(["--config", str(cfgfile), "--out", str(out), "tour"] + flag)
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert rows[0]["n"] == "7"
 
 

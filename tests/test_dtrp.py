@@ -59,17 +59,29 @@ def test_md1_simulation_low_load():
 
 def test_size_cell_hits_target_utilization():
     cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=20.0)
-    ell, period, rate, x = _size_cell(cfg, 0.7)
-    assert x == pytest.approx(0.7, rel=1e-9)
+    ell, period, rate, clamped = _size_cell(cfg, 0.7)
+    assert rate * period == pytest.approx(0.7, rel=1e-9)
     assert 0 < ell < 4.0 * SLOW.turn_radius
-    assert rate * period == pytest.approx(x, rel=1e-12)
+    assert not clamped
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lam", [5.0, 20.0, 40.0, 80.0])
+def test_size_cell_hits_tuned_utilization_to_ulps(dim, lam):
+    # the cell length is solved to a relative tolerance of a few ulps, so
+    # the utilization lands on x* although ell is of order 1e-3
+    x_star = tune_policy(dim).x_star
+    cfg = DtrpConfig(dims=(1.0,) * dim, params=SLOW, lam=lam)
+    _, period, rate, _ = _size_cell(cfg, x_star)
+    assert rate * period == pytest.approx(x_star, rel=1e-13)
 
 
 def test_size_cell_clamps_at_light_load():
     cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1e-6)
-    ell, _, _, x = _size_cell(cfg, 0.7)
-    assert ell == pytest.approx(4.0 * SLOW.turn_radius)
-    assert x < 0.7
+    ell, period, rate, clamped = _size_cell(cfg, 0.7)
+    assert ell == 4.0 * SLOW.turn_radius
+    assert clamped
+    assert rate * period < 0.7
 
 
 @pytest.mark.parametrize("dims, params, lam", [
@@ -287,22 +299,23 @@ def _pinned_case(name, tmp_path):
 
 
 PINNED_DTRP = {
+    # the five run_bta/run_cca pins were re-recorded when _size_cell began
+    # to solve the cell length with geometry.solve_cell, to a few ulps
+    # instead of brentq's absolute 2e-12: in 2D the values moved in their
+    # 10th-13th digits (utilization 0.7192235962476942 -> 0.7192235963748627
+    # at lambda 20); in 3D the utilization is a sawtooth in ell and the new
+    # bracket lands on a neighbouring crossing, so cca-20's period and mean
+    # system time moved by -7.05e-6 (relative); served counts did not move
     "cli-trace":
-        "798cc9f7da12f91e953daf2c5efe6eb5f1a0c070aeca8bf4dc9502d29018af04",
+        "08f00f53d59fab9d7a6d8ec279e8fdf2fb6ee1a2ee3f44a1d24fea4215c82519",
     "bta-20":
-        "d9de8ea10ed85411067efc4e0b114579e7c227f0d35734564ff2ecb2df46f975",
+        "111a43944e3d9a824ed6e98213bf6a69386921e0d2a8e8b2b79a0adff91b5aa2",
     "bta-40":
-        "f79622fbb5c6d9ec0ab3f7c0bf8d712200bc72f91076a45364b77df168a18a36",
-    # re-recorded when the 3D period began to sweep the cylinder covering's
-    # own rows and layers: the period moved by +1.4e-5 (relative), served
-    # counts did not
+        "4dde314821affc4e21a378feef49f6befffbb05a259a4d97f1ea11789c95b6e7",
     "cca-20":
-        "373ae266b5a7863b6bfefdd08a5002ac5984901fcf0900c7bda951d92d07243b",
-    # re-recorded when the per-cell occupancy sums became np.add.reduceat:
-    # little_residual moved in its last bits (0.018982081998123117 ->
-    # 0.01898208199812331), nothing else did
+        "e8be758448a74917b8bb7170afd04ea145ebce45ca135bdc2634e3b7a908c746",
     "cca-40":
-        "a6bb4a36f3994da83f2a8ef777d0057bd965bef2aa35239e3422e811de0e9a1e",
+        "731fea6fe1b448f5e4c00e49cce9b8ab2f4db769a95ebb23c98432c681ceb173",
     "late-early":
         "fc4279474ae62e1147e8c86cde4898267e1f48c0f595b8c3634827f10b69d021",
     # re-recorded when divergence became utilization >= 1 alone: only the
