@@ -85,10 +85,6 @@ def cmd_tour(args) -> int:
 def cmd_dtrp(args) -> int:
     dims = _dims(args)
     run = run_bta if args.policy == "bta" else run_cca
-    if args.policy == "cca" and len(dims) != 3:
-        raise SystemExit("dtrp: policy cca requires --dim 3")
-    if args.policy == "bta" and len(dims) != 2:
-        raise SystemExit("dtrp: policy bta requires --dim 2")
     if args.seeds < 1:
         raise SystemExit(f"dtrp: --seeds must be >= 1, got {args.seeds}")
     rows = []
@@ -98,7 +94,7 @@ def cmd_dtrp(args) -> int:
         config = _checked(args, DtrpConfig, dims=dims, params=_params(args),
                           lam=args.lam, n_slots=args.horizon,
                           seed=args.seed + seed)
-        stats = run(config, trace=trace if seed == 0 else None)
+        stats = _checked(args, run, config, trace=trace if seed == 0 else None)
         ok = ok and not stats.divergent
         rows.append([args.policy, args.lam, seed, stats.mean_system_time,
                      stats.mean_queue_len, stats.served, int(stats.divergent)])

@@ -334,14 +334,14 @@ def _run_policy(config: DtrpConfig, dim: int, trace: list | None) -> DtrpStats:
 def run_bta(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
     """Bead-sweep repair policy in a rectangle."""
     if len(config.dims) != 2:
-        raise ValueError("run_bta requires dims = (W, H)")
+        raise ValueError("policy bta requires dims = (W, H)")
     return _run_policy(config, 2, trace)
 
 
 def run_cca(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
     """Cylinder-sweep repair policy in a box."""
     if len(config.dims) != 3:
-        raise ValueError("run_cca requires dims = (W, H, D)")
+        raise ValueError("policy cca requires dims = (W, H, D)")
     return _run_policy(config, 3, trace)
 
 

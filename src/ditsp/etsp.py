@@ -92,28 +92,51 @@ def row_distance(points: np.ndarray):
     return dist
 
 
-def nearest_walk(points: np.ndarray, start: int):
+def kd_neighbours(points: np.ndarray):
+    """The one neighbour source of :func:`nearest_walk` and ``_two_opt``.
+
+    Builds the kd-tree over ``points`` and makes one batched query for every
+    row's ``min(n, 16)`` nearest points, the row itself included (among
+    exact duplicates, not always first).  Returns ``(tree, kd, idx)``, the
+    kd distances and indices as (n, k) arrays; :func:`grow_row` lengthens a
+    row from the same tree.  Points must be finite (the kd-tree rejects
+    others).
+    """
+    n = len(points)
+    tree = cKDTree(points)
+    kd, idx = tree.query(points, k=min(n, 16))
+    # for k = 1 the query returns 1-D arrays
+    return tree, kd.reshape(n, -1), idx.reshape(n, -1)
+
+
+def grow_row(tree: cKDTree, u: int, length: int):
+    """Row ``u`` re-queried for 4x ``length`` points, capped at ``n``, as
+    lists of kd distances and indices."""
+    kd, idx = tree.query(tree.data[u], k=min(tree.n, 4 * length))
+    return kd.tolist(), idx.tolist()
+
+
+def nearest_walk(points: np.ndarray, start: int, neighbours):
     """Nearest-neighbour walk from row ``start`` over the other rows.
 
     Each step goes to the unvisited row nearest the current one by
     :func:`row_distance`, ties to the lowest index.  Candidates come from
-    kd-tree neighbour rows: every row's 16 nearest from one batched query,
-    scanned in kd order up to the first unvisited entry whose kd distance
-    exceeds the best candidate's by the relative ``_KD_MARGIN``; no entry
-    past it can be nearer or tie (kd distances and :func:`row_distance`
-    differ by far less).  Only a row that runs out before such an entry, and
-    whose last kd distance is within the margin of the best, is queried
-    again, for 4x as many (capped at ``n``, where it lists every point).
-    Points must be finite (the kd-tree rejects others).
+    ``neighbours``, the :func:`kd_neighbours` rows of ``points``: every
+    row's 16 nearest, scanned in kd order up to the first unvisited entry
+    whose kd distance exceeds the best candidate's by the relative
+    ``_KD_MARGIN``; no entry past it can be nearer or tie (kd distances and
+    :func:`row_distance` differ by far less).  Only a row that runs out
+    before such an entry, and whose last kd distance is within the margin of
+    the best, is grown by :func:`grow_row` (to every point once it reaches
+    ``n``).
 
     Returns ``(lengths, order)``: ``order`` lists every row but ``start`` in
     visiting order and each length is the distance that chose its step.
     """
     n = len(points)
     dist = row_distance(points)
-    tree = cKDTree(points)
-    k = min(n, 16)
-    kd_rows, nbr_rows = tree.query(points, k=k)
+    tree, kd_rows, nbr_rows = neighbours
+    k = kd_rows.shape[1]
     # one row is a slice of flat memoryviews, read as Python scalars
     kd_flat = memoryview(kd_rows.reshape(-1))
     nbr_flat = memoryview(nbr_rows.reshape(-1))
@@ -139,8 +162,7 @@ def nearest_walk(points: np.ndarray, start: int):
                 # or tie unless its last kd distance is past the cut or it
                 # lists every point
                 if len(nbrs) < n and kd[-1] <= cut:
-                    kd, nbrs = tree.query(points[cur], k=min(n, 4 * len(nbrs)))
-                    kd, nbrs = kd.tolist(), nbrs.tolist()
+                    kd, nbrs = grow_row(tree, cur, len(nbrs))
                     continue
             break
         lengths.append(best_d)
@@ -150,21 +172,22 @@ def nearest_walk(points: np.ndarray, start: int):
     return lengths, order
 
 
-def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarray:
+def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int, neighbours):
     """First-improvement 2-opt with don't-look bits; reverses the shorter arc.
 
     Candidate cities are scanned in increasing distance from the anchor city
     and the scan stops once the candidate edge is no shorter than the removed
     one; checking both tour directions per anchor makes this exhaustive when
-    the scan sees every candidate.  Each city's row starts as its ``_KNN``
-    nearest neighbours from one batched kd-tree query.  For
+    the scan sees every candidate.  Each city's row starts as the first
+    ``_KNN + 1`` columns of ``neighbours``, the :func:`kd_neighbours` rows
+    of ``points``; a row keeps the city itself, which the scan skips.  For
     ``n <= _GROW_ROWS_LIMIT``, a scan that runs off the end of a row without
-    stopping or moving re-queries the tree for 4x as many neighbours (capped
-    at ``n``) and rescans the longer row, so a fixed point is a true 2-opt
-    local optimum; above the limit rows keep ``_KNN`` neighbours.  One call
-    need not end at a fixed point: a move clears the don't-look bits of its
-    four endpoints only, so an anchor set aside earlier can keep an improving
-    move (3D tours of 50-200 points show this).
+    stopping or moving grows it by :func:`grow_row` and rescans the longer
+    row, so a fixed point is a true 2-opt local optimum; above the limit
+    rows keep ``_KNN + 1`` entries.  One call need not end at a fixed point:
+    a move clears the don't-look bits of its four endpoints only, so an
+    anchor set aside earlier can keep an improving move (3D tours of 50-200
+    points show this).
 
     Every distance is :func:`row_distance`'s, bit-for-bit the
     ``np.linalg.norm(..., axis=...)`` of ``_edge_lengths``, so move tests and
@@ -173,9 +196,8 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarra
     n = len(order)
     if n < 4:
         return order
-    tree = cKDTree(points)
-    _, nbrs = tree.query(points, k=min(n, _KNN + 1))
-    rows = nbrs[:, 1:].tolist()
+    tree, _, idx = neighbours
+    rows = idx[:, :_KNN + 1].tolist()
 
     dist = row_distance(points)
     tour = order.copy()
@@ -223,12 +245,10 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int) -> np.ndarra
                             queue.append(t)
                         break
                 else:
-                    # the row (a query for len(row) + 1 points) ran out
-                    # before a stop, so the scan had no effect: rescan a
-                    # row from a query for 4x as many
-                    if len(row) + 1 < n <= _GROW_ROWS_LIMIT:
-                        _, idx = tree.query(points[a], k=min(n, 4 * len(row) + 4))
-                        row = rows[a] = idx[1:].tolist()
+                    # the row ran out before a stop, so the scan had no
+                    # effect: rescan a grown row
+                    if len(row) < n <= _GROW_ROWS_LIMIT:
+                        row = rows[a] = grow_row(tree, a, len(row))[1]
                         continue
                 break
             if improved:
@@ -268,14 +288,16 @@ def etsp_tour(pset: PointSet, seed: int = 0) -> TourOrder:
     The 2-opt pass (``_two_opt``) runs first-improvement until no anchor is
     left to try or until ``50 * n`` moves; its scans see every candidate for
     ``n <= _GROW_ROWS_LIMIT`` and each city's ``_KNN`` nearest neighbours
-    above that.
+    above that.  The walk and 2-opt share one :func:`kd_neighbours` source:
+    one kd-tree and one batched query per tour.
     """
     points = pset.points
     n = pset.n
     rng = substream(seed, 0)
     start = int(rng.integers(n))
-    order = np.append(start, nearest_walk(points, start)[1])
-    order = _two_opt(points, order, max_moves=50 * n)
+    neighbours = kd_neighbours(points)
+    order = np.append(start, nearest_walk(points, start, neighbours)[1])
+    order = _two_opt(points, order, max_moves=50 * n, neighbours=neighbours)
     return TourOrder(order=order, edge_lengths=_edge_lengths(points, order))
 
 

@@ -104,17 +104,13 @@ def run_trial(config: ExperimentConfig, n: int, seed: int) -> TrialResult:
                        leftover_after_phases=leftover, phase_count=len(reports))
 
 
-def _run_trial_star(args):
-    return run_trial(*args)
-
-
 def run_experiment(config: ExperimentConfig) -> list:
     """All (n, seed) trials, sorted by (n, seed)."""
     jobs = [(config, n, seed)
             for n in config.ns for seed in range(config.n_seeds)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_trial_star, jobs, chunksize=1))
+            results = list(pool.map(run_trial, *zip(*jobs), chunksize=1))
     else:
         results = [run_trial(*j) for j in jobs]
     results.sort(key=lambda r: (r.n, r.seed))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ditsp.etsp import PointSet, etsp_tour, nearest_walk
+from ditsp.etsp import PointSet, etsp_tour, kd_neighbours, nearest_walk
 from ditsp.geometry import (
     SUBPHASE_EXPONENTS,
     BeadGrid,
@@ -89,13 +89,15 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray):
     The walk is :func:`~ditsp.etsp.nearest_walk` with ``start`` as row
     ``m``: each step goes to the remaining point nearest the current
     position by :func:`~ditsp.etsp.row_distance` (bit-equal to
-    ``np.linalg.norm(..., axis=1)``), ties to the lowest index.
+    ``np.linalg.norm(..., axis=1)``), ties to the lowest index.  Each call
+    builds one :func:`~ditsp.etsp.kd_neighbours` source over the leftovers
+    and ``start``.
 
     Returns ``(lengths, order)``: each leg's length is the distance that
     chose it, and ``order`` indexes into ``points``.
     """
     rows = np.vstack((points, start))
-    return nearest_walk(rows, len(rows) - 1)
+    return nearest_walk(rows, len(rows) - 1, kd_neighbours(rows))
 
 
 def _group_key(cols, scale: int = 1) -> np.ndarray:
@@ -250,7 +252,7 @@ def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.
     rows, cols = grid.cell_index(pset.points)
     lo, hi = grid.col_range(0)
 
-    n_phases = int(math.ceil(math.log2(n))) + 1 if n > 1 else 1
+    n_phases = int(math.ceil(math.log2(n))) + 1
     unserved = np.ones(n, dtype=bool)
     reports, visit_chunks = [], []
 
@@ -285,7 +287,7 @@ def rec_cca(pset: PointSet, params: VehicleParams,
     n = pset.n
     rho = params.turn_radius
     ell0, _ = ell_for_n_3d(W, H, D, rho, n)
-    n_phases = max(1, int(math.ceil((math.log2(n) + 7.0) / 5.0))) if n > 1 else 1
+    n_phases = int(math.ceil((math.log2(n) + 7.0) / 5.0)) if n > 1 else 1
     unserved = np.ones(n, dtype=bool)
     reports, visit_chunks = [], []
 

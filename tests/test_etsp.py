@@ -8,8 +8,9 @@ from scipy.spatial import cKDTree
 
 import ditsp.etsp
 from ditsp.etsp import (_KD_MARGIN, PointSet, _reverse_arc, _two_opt,
-                        etsp_tour, held_karp_length, long_edge_count,
-                        nearest_walk, row_distance, worst_case_grid)
+                        etsp_tour, held_karp_length, kd_neighbours,
+                        long_edge_count, nearest_walk, row_distance,
+                        worst_case_grid)
 from ditsp.rng import substream
 
 
@@ -128,7 +129,10 @@ def test_etsp_deterministic_given_seed():
 # order instead of argsort order (length 30.82755... -> 30.79994...).  Both
 # grid pins were re-recorded when the walk's ties went to the lowest index
 # instead of kd order (grid-900: 30.79994... -> 30.31734..., grid-1600:
-# 40.88924... -> 40.36227...)
+# 40.88924... -> 40.36227...).  Both were re-recorded again when 2-opt took
+# its rows from the walk's k = 16 query, which orders exact ties unlike a
+# k = 9 query (grid-900: 30.317344640832047 -> 30.344958878323588,
+# grid-1600: 40.362272549335955 -> 40.32085119309864)
 PINNED_TOURS = {
     "uniform-1000-dense":
         ("b30518cd4eb02e5270f2aeaa583ac03743a1c6e094ef2daaab2643b6c6c8d833",
@@ -143,10 +147,10 @@ PINNED_TOURS = {
         ("adc74b89ceea7bbf2b9b41c33ee31e3a871b09f4bce15e6a96886bc34ad6f912",
          lambda: substream(21, 3).uniform(size=(700, 3))),
     "grid-1600-ties":
-        ("78e018bd1a91abf8a76c30b8015203c13f2187b8b9ee6a74f35bb85c3cfdf0fe",
+        ("0d3fcab0ec299922a6e8d4a8930772447ce8d4c96fbbe3d788f03bb7a063ac65",
          lambda: worst_case_grid(1600, 2, 1.0, 1.0).points),
     "grid-900-dense-ties":
-        ("69f743522160b7fcd287ab71ab93c1a806bbe0ed7e6ef19ac9b5a6a09bf085f7",
+        ("879aa907a45a7c9be14a108e7bc98d479772375468a0009c2e832196b35889a8",
          lambda: worst_case_grid(900, 2, 1.0, 1.0).points),
 }
 
@@ -175,13 +179,30 @@ def _brute_force_walk(points, start):
 
 
 class _CountingTree(cKDTree):
-    """kd-tree that records the ``k`` of every query."""
+    """kd-tree that records every tree built, the ``k`` of every query and
+    the number of batched (2-D) queries."""
 
     ks = []
+    built = 0
+    batched = 0
+
+    def __init__(self, *args, **kw):
+        _CountingTree.built += 1
+        super().__init__(*args, **kw)
 
     def query(self, x, k=1, **kw):
         _CountingTree.ks.append(k)
+        _CountingTree.batched += np.ndim(x) == 2
         return super().query(x, k=k, **kw)
+
+
+def test_etsp_tour_builds_one_tree_and_one_batched_query(monkeypatch):
+    # the walk and 2-opt share one neighbour source
+    monkeypatch.setattr(ditsp.etsp, "cKDTree", _CountingTree)
+    monkeypatch.setattr(_CountingTree, "built", 0)
+    monkeypatch.setattr(_CountingTree, "batched", 0)
+    etsp_tour(PointSet(points=substream(11, 8).uniform(size=(1000, 2))), seed=1)
+    assert (_CountingTree.built, _CountingTree.batched) == (1, 1)
 
 
 def _tie_cases(d):
@@ -193,8 +214,8 @@ def _tie_cases(d):
                     np.round(rng.uniform(size=(400, d)), 1)]
 
 
-def _walk(points, start):
-    lengths, order = nearest_walk(points, start)
+def _walk(points, start, neighbours):
+    lengths, order = nearest_walk(points, start, neighbours)
     return lengths, np.append(start, order)
 
 
@@ -213,7 +234,7 @@ def test_nearest_neighbor_walk_matches_brute_force(monkeypatch):
     for pts in inputs:
         _CountingTree.ks.clear()
         for start in (0, len(pts) // 2, len(pts) - 1):
-            lengths, got = _walk(pts, start)
+            lengths, got = _walk(pts, start, kd_neighbours(pts))
             assert np.array_equal(got, _brute_force_walk(pts, start))
             legs = np.linalg.norm(pts[got[1:]] - pts[got[:-1]], axis=1)
             assert lengths == legs.tolist()
@@ -249,11 +270,13 @@ def _improving_moves(points, tour):
 def test_two_opt_fixed_point_is_local_optimum(d):
     # a tour the full-candidate scan leaves unchanged admits no improving
     # 2-opt move; one call need not reach such a tour (see _two_opt)
-    for k, n in enumerate((5, 12, 50, 120, 200, 200)):
-        pts = substream(13, 10 * d + k).uniform(size=(n, d))
-        tour = _walk(pts, 0)[1]
+    inputs = [substream(13, 10 * d + k).uniform(size=(n, d))
+              for k, n in enumerate((5, 12, 50, 120, 200, 200))]
+    for pts in inputs + _tie_cases(d):
+        n = len(pts)
+        tour = _walk(pts, 0, neighbours := kd_neighbours(pts))[1]
         for _ in range(50):
-            nxt = _two_opt(pts, tour, max_moves=50 * n)
+            nxt = _two_opt(pts, tour, max_moves=50 * n, neighbours=neighbours)
             if np.array_equal(nxt, tour):
                 break
             tour = nxt
@@ -334,9 +357,9 @@ def test_two_opt_matches_dense_scan(monkeypatch, d):
     for k, n in enumerate((50, 300, 1000, 1200)):
         pts = substream(17, 10 * d + k).uniform(size=(n, d))
         for start in (0, n // 2):
-            order = _walk(pts, start)[1]
+            order = _walk(pts, start, neighbours := kd_neighbours(pts))[1]
             _CountingTree.ks.clear()
-            got = _two_opt(pts, order, max_moves=50 * n)
+            got = _two_opt(pts, order, max_moves=50 * n, neighbours=neighbours)
             grown += [q for q in _CountingTree.ks if q > ditsp.etsp._KNN + 1]
             want = _dense_two_opt(pts, order, max_moves=50 * n)
             assert got.tobytes() == want.tobytes()
