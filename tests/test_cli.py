@@ -146,8 +146,8 @@ def test_bad_workspace_exits_with_one_line(command, width):
     (["scaling", "--ns", "20", "40", "--trials", "0"], "n_seeds"),
     (["tour", "--trials", "0"], "n_seeds"), (["dtrp", "--seeds", "0"], "--seeds"),
     (["dtrp", "--policy", "cca"], "cca"),
-    (["dtrp", "--dim", "3", "--D", "1"], "bta"),
-    (["tour", "--dim", "3", "--algo", "reccca"], "--D")])
+    (["tour", "--dim", "3", "--algo", "reccca"], "--D"),
+    (["dtrp", "--dim", "3", "--D", "1"], "bta")])
 def test_bad_n_exits_with_one_line(argv, word):
     with pytest.raises(SystemExit) as exc:
         main(argv)
