@@ -19,6 +19,10 @@ _KNN = 8
 # relative margin can be neither nearer nor tied: kd distances and
 # row_distance differ by far less
 _KD_MARGIN = 1e-9
+# below this many unvisited points, one row_distances pass over them all
+# costs about one single-point kd re-query (~20 us), so a walk row that runs
+# out is settled by that pass instead of a grown row
+_SCAN_UNVISITED_MAX = 4096
 
 
 @dataclass
@@ -92,6 +96,28 @@ def row_distance(points: np.ndarray):
     return dist
 
 
+def row_distances(points: np.ndarray):
+    """``dists(u, rows)``, the distances from row ``u`` to each row of the
+    integer array ``rows`` of an (n, 2) or (n, 3) array, as a float array.
+
+    The vectorised :func:`row_distance`, bit-equal to it pair for pair: the
+    same per-dimension differences (negated, which leaves each square
+    unchanged), squared and summed left to right, then ``np.sqrt``; numpy's
+    subtraction, product, sum and ``sqrt`` are correctly rounded, as
+    Python's are.
+    """
+    first, *rest = [np.ascontiguousarray(axis) for axis in points.T]
+
+    def dists(u, rows):
+        diff = first[rows] - first[u]
+        total = diff * diff
+        for axis in rest:
+            diff = axis[rows] - axis[u]
+            total += diff * diff
+        return np.sqrt(total, out=total)
+    return dists
+
+
 def kd_neighbours(points: np.ndarray):
     """The one neighbour source of :func:`nearest_walk` and ``_two_opt``.
 
@@ -111,7 +137,11 @@ def kd_neighbours(points: np.ndarray):
 
 def grow_row(tree: cKDTree, u: int, length: int):
     """Row ``u`` re-queried for 4x ``length`` points, capped at ``n``, as
-    lists of kd distances and indices."""
+    lists of kd distances and indices.
+
+    ``_two_opt`` grows a row as often as its scans need; a
+    :func:`nearest_walk` row grows at most once.
+    """
     kd, idx = tree.query(tree.data[u], k=min(tree.n, 4 * length))
     return kd.tolist(), idx.tolist()
 
@@ -125,16 +155,20 @@ def nearest_walk(points: np.ndarray, start: int, neighbours):
     row's 16 nearest, scanned in kd order up to the first unvisited entry
     whose kd distance exceeds the best candidate's by the relative
     ``_KD_MARGIN``; no entry past it can be nearer or tie (kd distances and
-    :func:`row_distance` differ by far less).  Only a row that runs out
-    before such an entry, and whose last kd distance is within the margin of
-    the best, is grown by :func:`grow_row` (to every point once it reaches
-    ``n``).
+    :func:`row_distance` differ by far less).  A row runs out when the scan
+    passes its end, it does not list every point, and its last kd distance
+    is within the margin of the best.  Then, with fewer than
+    ``_SCAN_UNVISITED_MAX`` rows unvisited, one :func:`row_distances` pass
+    over every unvisited row takes the step; with more, the row grows once
+    by :func:`grow_row` (16 -> 64), and only if that row runs out too does
+    the pass take the step.  So a walk row grows at most once.
 
     Returns ``(lengths, order)``: ``order`` lists every row but ``start`` in
     visiting order and each length is the distance that chose its step.
     """
     n = len(points)
     dist = row_distance(points)
+    dists = row_distances(points)
     tree, kd_rows, nbr_rows = neighbours
     k = kd_rows.shape[1]
     # one row is a slice of flat memoryviews, read as Python scalars
@@ -142,6 +176,9 @@ def nearest_walk(points: np.ndarray, start: int, neighbours):
     nbr_flat = memoryview(nbr_rows.reshape(-1))
     visited = bytearray(n)
     visited[start] = 1
+    # ascending unvisited rows for the full pass, compacted when it runs
+    unvisited = np.arange(n)
+    is_visited = np.frombuffer(visited, np.uint8)
     cur = start
     lengths = []
     order = np.empty(n - 1, dtype=np.int64)
@@ -162,8 +199,15 @@ def nearest_walk(points: np.ndarray, start: int, neighbours):
                 # or tie unless its last kd distance is past the cut or it
                 # lists every point
                 if len(nbrs) < n and kd[-1] <= cut:
-                    kd, nbrs = grow_row(tree, cur, len(nbrs))
-                    continue
+                    # grow a first row once, while many rows are unvisited
+                    if len(nbrs) == k and n - 1 - step >= _SCAN_UNVISITED_MAX:
+                        kd, nbrs = grow_row(tree, cur, k)
+                        continue
+                    unvisited = unvisited[is_visited[unvisited] == 0]
+                    d = dists(cur, unvisited)
+                    # the first minimum: ties go to the lowest index
+                    i = int(d.argmin())
+                    best, best_d = int(unvisited[i]), float(d[i])
             break
         lengths.append(best_d)
         order[step] = best

@@ -15,8 +15,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from ditsp import planners
 from ditsp.etsp import PointSet, worst_case_grid
-from ditsp.planners import rec_bta, rec_cca, stop_go_stop
+from ditsp.planners import stop_go_stop
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
 
@@ -91,12 +92,14 @@ def run_trial(config: ExperimentConfig, n: int, seed: int) -> TrialResult:
     else:
         pset = PointSet(points=sample_uniform(n, dims, rng))
 
+    # the sweep planners are looked up on their module at each call, so a
+    # wrapper set there (perfbench's tracer) sees these trials too
     if config.algo in ("sgs", "sgs_grid"):
         tour, reports = stop_go_stop(pset, params, seed=seed), []
     elif config.algo == "rec_bta":
-        tour, reports = rec_bta(pset, params, *dims)
+        tour, reports = planners.rec_bta(pset, params, *dims)
     else:
-        tour, reports = rec_cca(pset, params, *dims)
+        tour, reports = planners.rec_cca(pset, params, *dims)
     leftover = reports[-1].leftover_after if reports else 0
     return TrialResult(algo=config.algo, n=n, seed=seed,
                        total_time=tour.total_time,

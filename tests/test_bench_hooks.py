@@ -44,3 +44,20 @@ def test_tracer_fills_planner_counters_and_spans():
     assert {"geometry.ell_for_n", "planners.rec_bta", "planners.rec_cca",
             "planners.greedy_cleanup", "planners.stop_go_stop",
             "etsp.etsp_tour"} <= spans
+
+
+def test_traced_run_trial_records_sweep_planner_spans():
+    # harness calls the sweep planners through the module, so the tracer's
+    # wrappers on planners.rec_bta and planners.rec_cca see its trials
+    configs = [harness.ExperimentConfig(algo=algo, dims=dims,
+                                        params=VehicleParams(r_vel, 1.0),
+                                        ns=(300,), n_seeds=1)
+               for algo, dims, r_vel in (("rec_bta", (1.0, 1.0), 0.1),
+                                         ("rec_cca", (1.0, 1.0, 1.0), 0.3))]
+    with Tracer() as tracer:
+        for config in configs:
+            harness.run_trial(config, 300, 0)
+    spans = {span[0] for span in tracer.spans}
+    assert {"harness.run_trial", "planners.rec_bta",
+            "planners.rec_cca"} <= spans
+    assert tracer.counts["planners.segments"] > 0

@@ -4,13 +4,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import ditsp.etsp
 from ditsp.etsp import (_KD_MARGIN, PointSet, _reverse_arc, _two_opt,
                         etsp_tour, held_karp_length, kd_neighbours,
                         long_edge_count, nearest_walk, row_distance,
-                        worst_case_grid)
+                        row_distances, worst_case_grid)
 from ditsp.rng import substream
 
 
@@ -179,12 +181,14 @@ def _brute_force_walk(points, start):
 
 
 class _CountingTree(cKDTree):
-    """kd-tree that records every tree built, the ``k`` of every query and
-    the number of batched (2-D) queries."""
+    """kd-tree that records every tree built, the ``k`` of every query, the
+    number of batched (2-D) queries and the ``k`` of every single-point
+    query."""
 
     ks = []
     built = 0
     batched = 0
+    single = []
 
     def __init__(self, *args, **kw):
         _CountingTree.built += 1
@@ -192,7 +196,10 @@ class _CountingTree(cKDTree):
 
     def query(self, x, k=1, **kw):
         _CountingTree.ks.append(k)
-        _CountingTree.batched += np.ndim(x) == 2
+        if np.ndim(x) == 2:
+            _CountingTree.batched += 1
+        else:
+            _CountingTree.single.append(k)
         return super().query(x, k=k, **kw)
 
 
@@ -219,11 +226,13 @@ def _walk(points, start, neighbours):
     return lengths, np.append(start, order)
 
 
-def test_nearest_neighbor_walk_matches_brute_force(monkeypatch):
-    monkeypatch.setattr(ditsp.etsp, "cKDTree", _CountingTree)
+def _walks_match_brute_force():
+    """Walk every input from three starts and compare with the brute-force
+    walk, order and exact leg lengths; return the ``k`` of every single-point
+    kd query the walks made."""
     rng = substream(11, 5)
-    # two clusters of 300 far apart use up the 16-, 64- and 256-neighbour
-    # lists of the last point of the first one; clusters of 40 use up 16
+    # two clusters of 300 far apart use up the 16- and 64-neighbour lists of
+    # the last point of the first one; clusters of 40 use up 16
     centres = [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (50.0, 50.0), (25, 90)]
     sizes = [300, 300, 40, 40, 40]
     clustered = np.concatenate([c + rng.uniform(size=(m, 2))
@@ -231,14 +240,58 @@ def test_nearest_neighbor_walk_matches_brute_force(monkeypatch):
     inputs = [rng.uniform(size=(n, d)) for n, d in
               ((1, 2), (2, 3), (3, 2), (17, 2), (500, 2), (400, 3))]
     inputs += _tie_cases(2) + _tie_cases(3) + [clustered]
+    _CountingTree.single.clear()
     for pts in inputs:
-        _CountingTree.ks.clear()
         for start in (0, len(pts) // 2, len(pts) - 1):
             lengths, got = _walk(pts, start, kd_neighbours(pts))
             assert np.array_equal(got, _brute_force_walk(pts, start))
             legs = np.linalg.norm(pts[got[1:]] - pts[got[:-1]], axis=1)
             assert lengths == legs.tolist()
-    assert {16, 64, 256, len(clustered)} <= set(_CountingTree.ks)
+    return _CountingTree.single
+
+
+def test_nearest_neighbor_walk_matches_brute_force(monkeypatch):
+    # every input has fewer than _SCAN_UNVISITED_MAX points, so a row that
+    # runs out goes straight to the pass over the unvisited points: the one
+    # batched k = 16 query per input is the walk's only kd query
+    monkeypatch.setattr(ditsp.etsp, "cKDTree", _CountingTree)
+    assert _walks_match_brute_force() == []
+
+
+def test_nearest_neighbor_walk_grows_a_row_once(monkeypatch):
+    # above _SCAN_UNVISITED_MAX unvisited points a row that runs out grows
+    # once, 16 -> 64, and a grown row that runs out goes to the full pass
+    monkeypatch.setattr(ditsp.etsp, "cKDTree", _CountingTree)
+    monkeypatch.setattr(ditsp.etsp, "_SCAN_UNVISITED_MAX", 0)
+    single = _walks_match_brute_force()
+    assert 64 in single and max(single) <= 64
+
+
+@st.composite
+def _walk_inputs(draw):
+    """Up to 300 points in 2D or 3D, coordinates rounded to 0.1 (exact
+    distance ties) and drawn from a pool of ``m <= n`` (exact duplicates),
+    with a start row."""
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 300))
+    m = draw(st.integers(1, n))
+    span = draw(st.sampled_from((0.5, 2.0, 10.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.round(rng.uniform(0.0, span, size=(m, d)), 1)
+    return pool[rng.integers(m, size=n)], draw(st.integers(0, n - 1))
+
+
+@pytest.mark.parametrize("scan_max", [ditsp.etsp._SCAN_UNVISITED_MAX, 0])
+@settings(max_examples=100, deadline=None)
+@given(case=_walk_inputs())
+def test_nearest_walk_property_matches_brute_force(scan_max, case):
+    pts, start = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ditsp.etsp, "_SCAN_UNVISITED_MAX", scan_max)
+        lengths, got = _walk(pts, start, kd_neighbours(pts))
+    assert np.array_equal(got, _brute_force_walk(pts, start))
+    legs = np.linalg.norm(pts[got[1:]] - pts[got[:-1]], axis=1)
+    assert lengths == legs.tolist()
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -254,6 +307,20 @@ def test_kd_distances_within_margin_of_row_distance(d, scale):
     apart = exact > 0
     gap = np.abs(kd - exact)[apart] / exact[apart]
     assert gap.max() < _KD_MARGIN and np.all(kd[~apart] == 0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_row_distances_bit_equal_to_row_distance(d, scale):
+    # the walk's full pass takes the same step as a row_distance scan only
+    # if the two agree in every bit
+    rng = substream(11, 9, d)
+    pts = rng.uniform(-1.0, 1.0, size=(500, d)) * scale
+    dist, dists = row_distance(pts), row_distances(pts)
+    rows = rng.permutation(500)
+    for u in range(0, 500, 7):
+        want = [dist(u, v) for v in rows.tolist()]
+        assert dists(u, rows).tolist() == want
 
 
 def _improving_moves(points, tour):
