@@ -91,7 +91,8 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray):
     position by :func:`~ditsp.etsp.row_distance` (bit-equal to
     ``np.linalg.norm(..., axis=1)``), ties to the lowest index.  Each call
     builds one :func:`~ditsp.etsp.kd_neighbours` source over the leftovers
-    and ``start``.
+    and ``start``; a walk row grows at most once, and a used-up row is
+    settled by one vectorised pass over the unvisited points.
 
     Returns ``(lengths, order)``: each leg's length is the distance that
     chose it, and ``order`` indexes into ``points``.
