@@ -172,56 +172,83 @@ def _size_cell(config: DtrpConfig, x_target: float):
     return ell, period, rate, clamped
 
 
-def _fifo_slots(base: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """FIFO service slots of several cells' queues at once.
+def _fifo_slots(base: np.ndarray, starts: list, counts: np.ndarray,
+                index: np.ndarray) -> np.ndarray:
+    """FIFO service slots of several cells' queues at once, written over
+    ``base``.
 
     ``base`` holds each arrival's first slot after its arrival, the
-    arrivals sorted by (cell, time) with cell c in ``base[starts[c]:
-    starts[c+1]]``.  Within a cell the k-th arrival leaves at slot
-    ``k + max(base[i] - i for i <= k)``; one running maximum serves every
-    cell because cell c's values are lifted by ``c << _LIFT_BITS``, above all
-    of cell c-1's.  ``base - k`` lies in ``(-n_arr, n_slots + 1]``, so the
-    cells stay apart while ``n_slots`` plus one cell's arrivals stays below
-    ``2**_LIFT_BITS``, and int64 holds the lift while the cell count stays
-    below ``2**(63 - _LIFT_BITS)``; a block holds at most ``_BLOCK_ARRIVALS``
-    cells.
+    arrivals sorted by (cell, time), with cell c's ``counts[c]`` arrivals
+    from ``base[starts[c]]`` on; ``index`` is an ``arange`` at least as long
+    as ``base``, kept from block to block.  Within a cell the k-th arrival
+    leaves at slot ``k + max(base[i] - i for i <= k)``; one running maximum
+    serves every cell because cell c's values are lifted by ``c <<
+    _LIFT_BITS``, above all of cell c-1's.  ``base - k`` lies in ``(-n_arr,
+    n_slots + 1]``, so the cells stay apart while ``n_slots`` plus one
+    cell's arrivals stays below ``2**_LIFT_BITS``, and int64 holds the lift
+    while the cell count stays below ``2**(63 - _LIFT_BITS)``; a block holds
+    at most ``_BLOCK_ARRIVALS`` cells.
     """
     # base[i] - k + (c << _LIFT_BITS) = base[i] + shift[i], k = i - starts[c]
-    rank = np.arange(len(starts) - 1, dtype=np.int64) << _LIFT_BITS
-    shift = np.repeat(rank + starts[:-1], np.diff(starts))
-    shift -= np.arange(len(base), dtype=np.int64)
-    run = np.maximum.accumulate(base + shift)
-    run -= shift
-    return run
+    lift = np.arange(len(starts), dtype=np.int64) << _LIFT_BITS
+    lift += starts
+    shift = np.repeat(lift, counts)
+    shift -= index[:len(base)]
+    base += shift
+    np.maximum.accumulate(base, out=base)
+    base -= shift
+    return base
 
 
 def _draw_blocks(config: DtrpConfig, period: float, cell_rate: float):
     """Each sample cell's slot offset and sorted arrivals, drawn cell after
     cell from one substream, grouped into blocks of consecutive cells with
     arrivals that hold at least ``_BLOCK_ARRIVALS`` arrivals (the last block
-    fewer).  Yields ``(cells, offsets, arrivals)`` lists."""
+    fewer).
+
+    Yields ``(cells, offsets, ends, arrivals)``: lists of the block's cell
+    numbers, their slot offsets and the running end of each cell's arrivals
+    in ``arrivals``, a view of one float64 buffer that the next block
+    overwrites.  Each cell's arrivals are drawn into their slice of the
+    buffer by ``rng.random(out=...)`` (the doubles of ``rng.random(n)``) and
+    sorted there; the whole block is then scaled by the horizon once.
+    ``x -> fl(x * horizon)`` is monotone, so sorting before scaling gives
+    the same arrivals bit for bit as scaling before sorting.  The buffer
+    grows when a cell would overflow it.
+    """
     horizon = config.n_slots * period
+    mean_arrivals = cell_rate * horizon
     rng = substream(config.seed, 7)
-    cells, offsets, arrivals, n_block = [], [], [], 0
+    buf = np.empty(_BLOCK_ARRIVALS)
+    cells, offsets, ends, n_block = [], [], [], 0
     for cell in range(config.n_sample_cells):
         # rng.random() * x is rng.uniform(0.0, x) bit for bit (that computes
         # 0.0 + x * u from the same double u), at a third of the call cost
         offset = rng.random() * period
-        n_arr = rng.poisson(cell_rate * horizon)
+        n_arr = rng.poisson(mean_arrivals)
         if n_arr == 0:
             continue
+        end = n_block + n_arr
+        if end > len(buf):
+            grown = np.empty(max(end, 2 * len(buf)))
+            grown[:n_block] = buf[:n_block]
+            buf = grown
+        arr = buf[n_block:end]
+        rng.random(out=arr)
+        arr.sort()
         cells.append(cell)
         offsets.append(offset)
-        arr = rng.random(n_arr)
-        arr *= horizon
-        arr.sort()
-        arrivals.append(arr)
-        n_block += n_arr
+        ends.append(end)
+        n_block = end
         if n_block >= _BLOCK_ARRIVALS:
-            yield cells, offsets, arrivals
-            cells, offsets, arrivals, n_block = [], [], [], 0
+            arrivals = buf[:n_block]
+            arrivals *= horizon
+            yield cells, offsets, ends, arrivals
+            cells, offsets, ends, n_block = [], [], [], 0
     if cells:
-        yield cells, offsets, arrivals
+        arrivals = buf[:n_block]
+        arrivals *= horizon
+        yield cells, offsets, ends, arrivals
 
 
 def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
@@ -237,14 +264,16 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     is at least 1: a slotted queue is stable iff its utilization is below 1.
 
     Cells are simulated in blocks of about ``_BLOCK_ARRIVALS`` arrivals
-    (:func:`_draw_blocks`): each block's arrivals, concatenated in (cell,
-    time) order, go through whole-array passes, and one running maximum
+    (:func:`_draw_blocks`): each block's arrivals, in (cell, time) order in
+    one buffer, go through whole-array passes, and one running maximum
     gives every cell's slots (:func:`_fifo_slots`).  Blocks keep the
-    temporaries in cache; one pass over a whole long run is slower.  Sums
-    that feed the statistics are taken per cell and added in cell order, so
-    the results do not depend on the block size.  The trace holds each of
-    the first ``trace_cells`` cells' first 50 slots and first 200 arrivals
-    with their services.
+    temporaries in cache; one pass over a whole long run is slower.  Each
+    temporary is overwritten in place once it is no longer needed: the
+    first slots become the service slots, the offsets the waits, the
+    departures the occupancy spans.  Sums that feed the statistics are
+    taken per cell and added in cell order, so the results do not depend
+    on the block size.  The trace holds each of the first ``trace_cells``
+    cells' first 50 slots and first 200 arrivals with their services.
     """
     horizon = config.n_slots * period
     warmup = config.warmup_fraction * horizon
@@ -252,32 +281,38 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     served_total = 0
     occupancy = 0.0  # integral of queue length over the post-warmup window
     first_target_id = 0
-    for cells, offsets, arrs in _draw_blocks(config, period, cell_rate):
-        counts = [len(a) for a in arrs]
-        starts = np.cumsum([0] + counts)
-        arrivals = np.concatenate(arrs)
+    index = np.empty(0, dtype=np.int64)
+    for cells, offsets, ends, arrivals in _draw_blocks(config, period,
+                                                       cell_rate):
+        n = len(arrivals)
+        if len(index) < n:
+            index = np.arange(n, dtype=np.int64)
+        starts = [0] + ends[:-1]
+        counts = np.subtract(ends, starts)
         offset = np.repeat(offsets, counts)
         # first slot after each arrival; arrivals are >= 0 and offsets are
-        # below one period, so the quotient is > -1 and base >= 0
+        # below one period, so the quotient is > -1 and the slot >= 0
         first = arrivals - offset
         first /= period
-        base = np.floor(first, out=first).astype(np.int64)
-        base += 1
-        depart = offset + _fifo_slots(base, starts) * period
+        slots = np.floor(first, out=first).astype(np.int64)
+        slots += 1
+        depart = _fifo_slots(slots, starts, counts, index) * period
+        depart += offset
         if trace is not None and cells[0] < trace_cells:
-            _trace_block(trace, cells, offsets, starts.tolist(), arrivals,
+            _trace_block(trace, cells, offsets, [0] + ends, arrivals,
                          depart, first_target_id, period, horizon,
                          min(config.n_slots, 50), trace_cells)
-        first_target_id += len(arrivals)
-        in_run = depart < horizon
-        served_total += int(np.count_nonzero(in_run))
-        keep = in_run & (arrivals >= warmup)
-        times.append((depart - arrivals)[keep])
-        span = np.minimum(depart, horizon)
-        span -= np.maximum(arrivals, warmup)
+        first_target_id += n
+        keep = depart < horizon
+        served_total += int(np.count_nonzero(keep))
+        keep &= arrivals >= warmup
+        waits = np.subtract(depart, arrivals, out=offset)
+        times.append(waits[keep])
+        span = np.minimum(depart, horizon, out=depart)
+        span -= np.maximum(arrivals, warmup, out=arrivals)
         np.maximum(span, 0.0, out=span)
         # every cell of a block has arrivals, so no segment is empty
-        for cell_sum in np.add.reduceat(span, starts[:-1]).tolist():
+        for cell_sum in np.add.reduceat(span, starts).tolist():
             occupancy += cell_sum
 
     if times:

@@ -74,13 +74,15 @@ def stop_go_stop(pset: PointSet, params: VehicleParams, seed: int = 0) -> Tour:
     tour = etsp_tour(pset, seed=seed)
     if pset.n == 1:
         return Tour(visit_order=tour.order)
-    return Tour(segments=_leg_rows(tour.edge_lengths.tolist(), params),
+    return Tour(segments=_leg_rows(tour.edge_lengths, params),
                 visit_order=tour.order)
 
 
-def _leg_rows(lengths, params: VehicleParams) -> list:
-    """One ``(length, duration)`` row per stop-go leg."""
-    return [(d, stop_go_time(d, params)) for d in lengths]
+def _leg_rows(lengths, params: VehicleParams) -> np.ndarray:
+    """One ``(length, duration)`` row per stop-go leg, as an (m, 2) array,
+    from one :func:`~ditsp.vehicle.stop_go_time` call over the lengths."""
+    lengths = np.asarray(lengths, dtype=float)
+    return np.column_stack((lengths, stop_go_time(lengths, params)))
 
 
 def greedy_cleanup(points: np.ndarray, start: np.ndarray):
@@ -180,7 +182,8 @@ def _cleanup_tail(pset, unserved, reports, visit_chunks, params) -> Tour:
     legs, clean_order = greedy_cleanup(pset.points[leftover_idx], np.zeros(pset.d))
     visit_chunks.append(leftover_idx[clean_order])
     rows = [(r.length, r.length / params.r_vel) for r in reports]
-    return Tour(segments=rows + _leg_rows(legs, params),
+    return Tour(segments=np.vstack((np.reshape(rows, (-1, 2)),
+                                    _leg_rows(legs, params))),
                 visit_order=np.concatenate(visit_chunks))
 
 

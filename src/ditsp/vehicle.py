@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -33,22 +35,26 @@ class VehicleParams:
         return self.r_vel**2 / self.r_ctr
 
 
-def stop_go_time(delta: float, params: VehicleParams) -> float:
-    """Minimum rest-to-rest travel time over a straight distance ``delta``.
+def stop_go_time(delta, params: VehicleParams):
+    """Minimum rest-to-rest travel time over a straight distance ``delta``,
+    a float or an array of distances (then one time per distance).
 
     Bang-bang below the speed-saturation distance ``r_vel**2 / r_ctr``,
     bang-cruise-bang above it.  Continuous at the breakpoint, where both
     branches give ``2 * r_vel / r_ctr``.  The cruise branch is floored at the
     bang-bang time of the breakpoint, which its rounding can fall below by
     an ulp; the time is then nondecreasing in ``delta`` in floating point.
+    numpy's division and ``sqrt`` are correctly rounded, as ``math``'s are,
+    so an array gives each distance's float time bit for bit.
     """
-    if delta < 0:
+    d = np.asarray(delta, dtype=float)
+    if (d < 0).any():
         raise ValueError("distance must be nonnegative")
     rho = params.turn_radius
-    if delta <= rho:
-        return 2.0 * math.sqrt(delta / params.r_ctr)
-    return max(params.r_vel / params.r_ctr + delta / params.r_vel,
-               2.0 * math.sqrt(rho / params.r_ctr))
+    t = np.where(d <= rho, 2.0 * np.sqrt(d / params.r_ctr),
+                 np.maximum(params.r_vel / params.r_ctr + d / params.r_vel,
+                            2.0 * math.sqrt(rho / params.r_ctr)))
+    return t if t.ndim else float(t)
 
 
 def u_turn_length(rho: float) -> float:

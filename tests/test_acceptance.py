@@ -161,19 +161,22 @@ def test_criterion_5_recbta_constant(criterion_report, recbta_batches):
 
 @pytest.fixture(scope="module")
 def scaling_fits():
+    # two workers: the trials do not depend on the worker count (criterion
+    # 11), and the n = 1e5 tours of sgs and sgs_grid run side by side
     fits = {}
     cfgs = {
         "rec_bta": ExperimentConfig(algo="rec_bta", dims=(1.0, 1.0),
                                     params=SLOW, ns=NS, n_seeds=10,
-                                    master_seed=1006),
+                                    master_seed=1006, workers=2),
         "rec_cca": ExperimentConfig(algo="rec_cca", dims=(1.0, 1.0, 1.0),
                                     params=P3D, ns=NS, n_seeds=5,
-                                    master_seed=1006),
+                                    master_seed=1006, workers=2),
         "sgs": ExperimentConfig(algo="sgs", dims=(1.0, 1.0), params=UNIT,
-                                ns=NS, n_seeds=3, master_seed=1006),
+                                ns=NS, n_seeds=3, master_seed=1006,
+                                workers=2),
         "sgs_grid": ExperimentConfig(algo="sgs_grid", dims=(1.0, 1.0),
                                      params=UNIT, ns=NS, n_seeds=2,
-                                     master_seed=1006),
+                                     master_seed=1006, workers=2),
     }
     for name, cfg in cfgs.items():
         fits[name] = fit_experiment(run_experiment(cfg))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from ditsp import dtrp
 from ditsp.cli import main
 from ditsp.dtrp import (DtrpConfig, X_FACTOR_3D, _simulate_cells, _size_cell,
                         md1_system_time, predicted_system_time, run_bta,
@@ -333,6 +334,29 @@ PINNED_DTRP = {
 def test_dtrp_digest_pinned(name, tmp_path):
     got = hashlib.sha256(_pinned_case(name, tmp_path).encode()).hexdigest()
     assert got == PINNED_DTRP[name]
+
+
+def _block_case(name, tmp_path):
+    if name != "long-cells":
+        return _pinned_case(name, tmp_path)
+    # about 20000 arrivals per cell, more than a default block holds, so the
+    # draw buffer grows
+    cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1.0, n_slots=40000,
+                     n_sample_cells=4, seed=24)
+    trace = []
+    out = _simulate_cells(cfg, period=1.0, cell_rate=0.5, trace=trace)
+    return repr(_stats_tuple(out)) + repr(trace)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+@pytest.mark.parametrize("name", ["long-cells", "sparse", "divergent"])
+def test_results_do_not_depend_on_block_size(name, block, tmp_path,
+                                             monkeypatch):
+    # one cell per block, a few cells per block, and the whole run in one
+    # block give the default's statistics and trace bit for bit
+    want = _block_case(name, tmp_path)
+    monkeypatch.setattr(dtrp, "_BLOCK_ARRIVALS", block)
+    assert _block_case(name, tmp_path) == want
 
 
 def _fifo_oracle(cfg, period, cell_rate):

@@ -90,6 +90,37 @@ def test_monotone_in_distance(r_vel, r_ctr):
     assert all(b >= a for a, b in zip(ts, ts[1:]))
 
 
+def _stop_go_scalar(delta, params):
+    # the scalar law written out with math, as stop_go_time read before it
+    # took arrays
+    rho = params.turn_radius
+    if delta <= rho:
+        return 2.0 * math.sqrt(delta / params.r_ctr)
+    return max(params.r_vel / params.r_ctr + delta / params.r_vel,
+               2.0 * math.sqrt(rho / params.r_ctr))
+
+
+@pytest.mark.parametrize("r_vel, r_ctr", [
+    (0.1, 1.0), (1.0, 1.0), (0.07433941983010071, 0.002846187896837431),
+    (3.7, 0.05)])
+def test_stop_go_array_equals_scalar_bitwise(r_vel, r_ctr):
+    # both branches, the saturation distance and its neighbouring floats,
+    # and 0; each array entry is the float time of its distance bit for bit
+    params = VehicleParams(r_vel=r_vel, r_ctr=r_ctr)
+    d_sat = params.turn_radius
+    ds = [0.0, *_around_saturation(params),
+          *substream(102, 0).uniform(0.0, 4.0 * d_sat, size=200).tolist()]
+    got = stop_go_time(np.array(ds), params)
+    assert isinstance(got, np.ndarray) and got.shape == (len(ds),)
+    want = [_stop_go_scalar(d, params) for d in ds]
+    assert got.tolist() == want
+    assert [stop_go_time(d, params) for d in ds] == want
+    assert all(type(stop_go_time(d, params)) is float for d in ds[:3])
+    assert stop_go_time(np.empty(0), params).shape == (0,)
+    with pytest.raises(ValueError, match="nonnegative"):
+        stop_go_time(np.array([1.0, -1e-9]), params)
+
+
 def test_zero_distance_and_negative():
     params = VehicleParams(r_vel=1.0, r_ctr=1.0)
     assert stop_go_time(0.0, params) == 0.0
