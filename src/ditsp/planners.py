@@ -81,7 +81,6 @@ def stop_go_stop(pset: PointSet, params: VehicleParams, seed: int = 0) -> Tour:
 def _leg_rows(lengths, params: VehicleParams) -> np.ndarray:
     """One ``(length, duration)`` row per stop-go leg, as an (m, 2) array,
     from one :func:`~ditsp.vehicle.stop_go_time` call over the lengths."""
-    lengths = np.asarray(lengths, dtype=float)
     return np.column_stack((lengths, stop_go_time(lengths, params)))
 
 

@@ -162,7 +162,7 @@ def test_criterion_5_recbta_constant(criterion_report, recbta_batches):
 @pytest.fixture(scope="module")
 def scaling_fits():
     # two workers: the trials do not depend on the worker count (criterion
-    # 11), and the n = 1e5 tours of sgs and sgs_grid run side by side
+    # 11), and the n = 1e5 tours, nearly all of the time, run two at a time
     fits = {}
     cfgs = {
         "rec_bta": ExperimentConfig(algo="rec_bta", dims=(1.0, 1.0),
