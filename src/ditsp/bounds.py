@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ditsp.geometry import CYCLE_FACTOR_3D, _check_n
+from ditsp.geometry import CYCLE_FACTOR_3D, _check_dims, _check_n
 from ditsp.vehicle import VehicleParams, u_turn_length
 
 # 3D dynamic lower-bound coefficient: printed value and the value obtained by
@@ -25,9 +25,8 @@ DTRP3_UPPER_PRINTED = 2e7
 
 
 def _dim(dim: int, dims: tuple) -> int:
-    """``dim`` once it is 2 or 3 and ``dims`` holds that many sides."""
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
+    """``dim`` once ``dims`` holds that many sides (the sides themselves are
+    checked by ``_scaled``)."""
     if len(dims) != dim:
         raise ValueError(f"dim = {dim} does not match dims = {tuple(dims)}")
     return dim
@@ -37,17 +36,19 @@ def _scaled(c: float, dims: tuple, params: VehicleParams, per: float = 1.0) -> f
     """``c`` times the workspace measure over ``per * r_vel * r_ctr**(d-1)``,
     the unit of every bound (d = len(dims)).  ``c`` is multiplied in first
     and ``per`` (a pi in the denominator) into the unit, as the formulas are
-    written, so each bound keeps its bits."""
+    written, so each bound keeps its bits.  Every bound's sides are checked
+    here, by :func:`~ditsp.geometry._check_dims`."""
     unit = per * params.r_vel * params.r_ctr ** (len(dims) - 1)
-    return math.prod((c, *dims)) / unit
+    return math.prod((c, *_check_dims(dims))) / unit
 
 
 def heavy_load(c: float, dims: tuple, params: VehicleParams) -> float:
     """Heavy-load system-time law of the sweep policies with coefficient ``c``:
     ``c * measure/(r_vel r_ctr^(d-1)) * turn_penalty^(2d-1)``, the factor of
     lambda^(2d-2) (Bertsimas & van Ryzin 1991)."""
-    pen = turn_penalty(dims[0], params)
-    return _scaled(c, dims, params) * pen ** (2 * len(dims) - 1)
+    # _scaled checks the sides before turn_penalty divides by W
+    scaled = _scaled(c, dims, params)
+    return scaled * turn_penalty(dims[0], params) ** (2 * len(dims) - 1)
 
 
 def tour_lower_2d(W: float, H: float, params: VehicleParams, n: int) -> float:

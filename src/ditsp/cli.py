@@ -29,21 +29,6 @@ _ALGO_NAMES = {"sgs": "sgs", "recbta": "rec_bta", "reccca": "rec_cca",
                "sgs_grid": "sgs_grid"}
 
 
-def _emit(rows, fields, fmt, out):
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        if fmt == "json":
-            json.dump([dict(zip(fields, r)) for r in rows], fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
-
-
 def _emit_obj(obj, out):
     text = json.dumps(obj, indent=2) + "\n"
     if out:
@@ -51,6 +36,20 @@ def _emit_obj(obj, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(rows, fields, fmt, out):
+    if fmt == "json":
+        _emit_obj([dict(zip(fields, r)) for r in rows], out)
+        return
+    fh = open(out, "w", newline="") if out else sys.stdout
+    try:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        writer.writerows(rows)
+    finally:
+        if out:
+            fh.close()
 
 
 def _dims(args):
@@ -158,7 +157,7 @@ def cmd_scaling(args) -> int:
     fit = _checked(args, fit_experiment, results)
     report = {"algo": config.algo, "slope": fit.slope, "intercept": fit.intercept,
               "r_squared": fit.r_squared, "n_points": fit.n_points}
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    _emit_obj(report, None)
     if args.slope_min is not None and fit.slope < args.slope_min:
         return 1
     if args.slope_max is not None and fit.slope > args.slope_max:

@@ -20,8 +20,8 @@ from scipy.optimize import minimize_scalar
 
 from ditsp.bounds import _dim, heavy_load
 from ditsp.geometry import (CYCLE_FACTOR_3D, BeadGrid, BeadSpec, CylinderGrid,
-                            CylinderSpec, bead_area, cylinder_volume,
-                            solve_cell)
+                            CylinderSpec, _check_dims, bead_area,
+                            cylinder_volume, solve_cell)
 from ditsp.planners import bead_sweep, cylinder_sweep
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
@@ -100,11 +100,7 @@ class DtrpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(math.isfinite(d) and d > 0 for d in self.dims):
-            raise ValueError(f"dims must be finite and positive, got {self.dims}")
-        # the cell grids need W >= H (>= D)
-        if any(a < b for a, b in zip(self.dims, self.dims[1:])):
-            raise ValueError(f"dims must be ordered W >= H (>= D), got {self.dims}")
+        _check_dims(self.dims)
         # lam = 0 is allowed: no arrivals, NaN time averages
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ditsp.geometry import _check_dims, _check_n
 from ditsp.rng import substream
 
 # 2-opt scans each city's _KNN nearest neighbours; up to this size a row that
@@ -216,8 +217,12 @@ def nearest_walk(points: np.ndarray, start: int, neighbours):
     return lengths, order
 
 
-def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int, neighbours):
+def _two_opt(points: np.ndarray, order: np.ndarray, neighbours):
     """First-improvement 2-opt with don't-look bits; reverses the shorter arc.
+
+    Runs until no anchor is left to try or until ``50 * n`` moves.  Every
+    city whose don't-look bit is clear is in the queue, so an empty queue
+    leaves none to try.
 
     Candidate cities are scanned in increasing distance from the anchor city
     and the scan stops once the candidate edge is no shorter than the removed
@@ -252,6 +257,7 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int, neighbours):
     tour_at, pos_of = memoryview(tour), memoryview(pos)
     dont_look = bytearray(n)
     moves = 0
+    max_moves = 50 * n
     queue = list(range(n))
     while queue and moves < max_moves:
         a = queue.pop()
@@ -301,8 +307,6 @@ def _two_opt(points: np.ndarray, order: np.ndarray, max_moves: int, neighbours):
             queue.append(a)
         else:
             dont_look[a] = 1
-            if not queue:
-                queue = [t for t in range(n) if not dont_look[t]]
     return tour
 
 
@@ -341,7 +345,7 @@ def etsp_tour(pset: PointSet, seed: int = 0) -> TourOrder:
     start = int(rng.integers(n))
     neighbours = kd_neighbours(points)
     order = np.append(start, nearest_walk(points, start, neighbours)[1])
-    order = _two_opt(points, order, max_moves=50 * n, neighbours=neighbours)
+    order = _two_opt(points, order, neighbours)
     return TourOrder(order=order, edge_lengths=_edge_lengths(points, order))
 
 
@@ -352,17 +356,18 @@ def long_edge_count(tour: TourOrder, eta: float) -> int:
     return int(np.count_nonzero(tour.edge_lengths > eta))
 
 
-def worst_case_grid(n: int, d: int, W: float, H: float, D: float | None = None) -> PointSet:
+def worst_case_grid(n: int, d: int, W: float, H: float, D: float = math.nan) -> PointSet:
     """Regular grid point set whose pairwise spacing scales like n**(-1/d).
 
     Uses ``k = ceil(n**(1/d))`` cells per side with points at cell centers
-    (pitch = side/k), clipped to the first ``n`` points.
+    (pitch = side/k), clipped to the first ``n`` points.  The sides may come
+    in any order; sorted in descending order, they must pass
+    :func:`~ditsp.geometry._check_dims`.  ``D`` is needed for ``d = 3``: its
+    default, NaN, fails that check.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n)
     sides = [W, H] if d == 2 else [W, H, D]
-    if any(s is None or s <= 0 for s in sides):
-        raise ValueError("workspace dimensions must be positive")
+    _check_dims(sorted(sides, reverse=True))
     k = int(math_ceil_root(n, d))
     axes = [(np.arange(k) + 0.5) * (s / k) for s in sides]
     mesh = np.meshgrid(*axes, indexing="ij")

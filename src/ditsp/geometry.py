@@ -128,10 +128,7 @@ class BeadGrid:
     """
 
     def __init__(self, W: float, H: float, spec: BeadSpec):
-        if not (W >= H > 0):
-            raise ValueError("workspace must satisfy W >= H > 0")
-        self.W = W
-        self.H = H
+        self.W, self.H = _check_dims((W, H))
         self.spec = spec
         w, ell = spec.w, spec.ell
         self.row_min = -1
@@ -218,9 +215,7 @@ class CylinderGrid:
     """
 
     def __init__(self, W: float, H: float, D: float, spec: CylinderSpec):
-        if not (W >= H >= D > 0):
-            raise ValueError("box must satisfy W >= H >= D > 0")
-        self.W, self.H, self.D = W, H, D
+        self.W, self.H, self.D = _check_dims((W, H, D))
         self.spec = spec
         rad = spec.radius
         self.n_cols = max(1, int(math.ceil(W / spec.ell)))
@@ -296,6 +291,24 @@ def _check_n(n: int):
         raise ValueError("n must be >= 1")
 
 
+def _check_dims(dims) -> tuple:
+    """``dims`` as a tuple once it holds 2 or 3 sides, each finite and
+    positive, ordered ``W >= H (>= D)``: the one workspace rule.
+
+    The tilings and coverings run their rows along the longest side, so
+    every entry that takes sides (grids, cell sizing, sweep planners,
+    bounds, configs) checks them here.
+    """
+    dims = tuple(dims)
+    if len(dims) not in (2, 3):
+        raise ValueError(f"dims must hold 2 or 3 sides, got {dims}")
+    if not all(math.isfinite(d) and d > 0 for d in dims):
+        raise ValueError(f"dims must be finite and positive, got {dims}")
+    if any(a < b for a, b in zip(dims, dims[1:])):
+        raise ValueError(f"dims must satisfy W >= H (>= D), got {dims}")
+    return dims
+
+
 def solve_cell(rho: float, excess) -> tuple[float, bool]:
     """Cell length where ``excess`` crosses zero on ``(0, 4*rho]``;
     ``(ell, clamped)``.
@@ -322,6 +335,7 @@ def solve_cell(rho: float, excess) -> tuple[float, bool]:
 def ell_for_n(W: float, H: float, rho: float, n: int) -> tuple[float, bool]:
     """Cell length making bead area equal W*H/(2n); ``(ell, clamped)``."""
     _check_n(n)
+    _check_dims((W, H))
     return solve_cell(rho, lambda ell: bead_area(BeadSpec.create(rho, ell))
                       - W * H / 2.0 / n)
 
@@ -329,5 +343,6 @@ def ell_for_n(W: float, H: float, rho: float, n: int) -> tuple[float, bool]:
 def ell_for_n_3d(W: float, H: float, D: float, rho: float, n: int) -> tuple[float, bool]:
     """Cell length making cylinder volume equal W*H*D/(4n); ``(ell, clamped)``."""
     _check_n(n)
+    _check_dims((W, H, D))
     return solve_cell(rho, lambda ell: cylinder_volume(CylinderSpec.create(rho, ell))
                       - W * H * D / 4.0 / n)

@@ -9,7 +9,6 @@ bitwise identical for any worker count.
 from __future__ import annotations
 
 import csv
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from ditsp import planners
 from ditsp.etsp import PointSet, worst_case_grid
+from ditsp.geometry import _check_dims
 from ditsp.planners import stop_go_stop
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
@@ -48,12 +48,9 @@ class ExperimentConfig:
         want = 3 if self.algo == "rec_cca" else 2
         if len(self.dims) != want:
             raise ValueError(f"{self.algo} needs {want} workspace dimensions")
-        if not all(math.isfinite(d) and d > 0 for d in self.dims):
-            raise ValueError(f"dims must be finite and positive, got {self.dims}")
-        # the cell grids run their rows along the longest side
-        if self.algo.startswith("rec_") and list(self.dims) != sorted(self.dims)[::-1]:
-            raise ValueError(f"dims must satisfy W >= H (>= D) for {self.algo}, "
-                             f"got {self.dims}")
+        # a stop-go trial takes its sides in any order
+        _check_dims(self.dims if self.algo.startswith("rec_")
+                    else sorted(self.dims, reverse=True))
 
 
 @dataclass(frozen=True)

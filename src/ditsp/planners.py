@@ -27,6 +27,7 @@ from ditsp.geometry import (
     BeadSpec,
     CylinderGrid,
     CylinderSpec,
+    _check_dims,
     bead_meta_exponents,
     cylinder_meta_index,
     ell_for_n,
@@ -163,9 +164,11 @@ def _runs(cols) -> int:
 
 
 def _check_workspace(pset: PointSet, dims) -> None:
-    """Reject points outside the closed box ``[0, W]x[0, H](x[0, D])``,
-    naming the violated bound."""
-    for axis, name, size, col in zip("xyz", "WHD", dims, pset.points.T):
+    """Reject sides that break :func:`~ditsp.geometry._check_dims`, then
+    points outside the closed box ``[0, W]x[0, H](x[0, D])``, naming the
+    violated bound."""
+    for axis, name, size, col in zip("xyz", "WHD", _check_dims(dims),
+                                     pset.points.T):
         low, high = col.min(), col.max()
         if low < 0.0:
             raise ValueError(f"points must lie in the workspace: {axis} = {low} < 0")

@@ -28,6 +28,15 @@ class VehicleParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        # r_vel**2 overflows or underflows for some finite, positive caps
+        try:
+            rho = self.turn_radius
+        except OverflowError:
+            rho = math.inf
+        if not (math.isfinite(rho) and rho > 0):
+            raise ValueError(f"turn radius r_vel**2 / r_ctr must be finite and "
+                             f"positive, got {rho} for r_vel = {self.r_vel}, "
+                             f"r_ctr = {self.r_ctr}")
 
     @property
     def turn_radius(self) -> float:

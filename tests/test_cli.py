@@ -131,8 +131,9 @@ def test_tile_bad_cell_exits_with_one_line(argv, field):
 
 
 @pytest.mark.parametrize("command", [["tour", "--algo", "recbta"],
-                                     ["scaling", "--ns", "20", "40"]])
-@pytest.mark.parametrize("width", ["nan", "-1", "0.5"])  # 0.5: W < H
+                                     ["scaling", "--ns", "20", "40"],
+                                     ["bounds"], ["tile"]])
+@pytest.mark.parametrize("width", ["nan", "-1", "0.5", "0", "inf"])  # 0.5: W < H
 def test_bad_workspace_exits_with_one_line(command, width):
     with pytest.raises(SystemExit) as exc:
         main(command + ["--W", width])
@@ -147,7 +148,12 @@ def test_bad_workspace_exits_with_one_line(command, width):
     (["tour", "--trials", "0"], "n_seeds"), (["dtrp", "--seeds", "0"], "--seeds"),
     (["dtrp", "--policy", "cca"], "cca"),
     (["tour", "--dim", "3", "--algo", "reccca"], "--D"),
-    (["dtrp", "--dim", "3", "--D", "1"], "bta")])
+    (["dtrp", "--dim", "3", "--D", "1"], "bta"),
+    (["bounds", "--dim", "3", "--D", "0"], "dims"),
+    (["tile", "--dim", "3", "--D", "0"], "dims"),
+    # r_vel**2 underflows to 0 or overflows to inf
+    (["tour", "--algo", "recbta", "--rvel", "1e-200", "--n", "50"], "r_vel"),
+    (["bounds", "--rvel", "1e200"], "r_vel")])
 def test_bad_n_exits_with_one_line(argv, word):
     with pytest.raises(SystemExit) as exc:
         main(argv)

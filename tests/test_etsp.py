@@ -343,7 +343,7 @@ def test_two_opt_fixed_point_is_local_optimum(d):
         n = len(pts)
         tour = _walk(pts, 0, neighbours := kd_neighbours(pts))[1]
         for _ in range(50):
-            nxt = _two_opt(pts, tour, max_moves=50 * n, neighbours=neighbours)
+            nxt = _two_opt(pts, tour, neighbours=neighbours)
             if np.array_equal(nxt, tour):
                 break
             tour = nxt
@@ -426,7 +426,7 @@ def test_two_opt_matches_dense_scan(monkeypatch, d):
         for start in (0, n // 2):
             order = _walk(pts, start, neighbours := kd_neighbours(pts))[1]
             _CountingTree.ks.clear()
-            got = _two_opt(pts, order, max_moves=50 * n, neighbours=neighbours)
+            got = _two_opt(pts, order, neighbours=neighbours)
             grown += [q for q in _CountingTree.ks if q > ditsp.etsp._KNN + 1]
             want = _dense_two_opt(pts, order, max_moves=50 * n)
             assert got.tobytes() == want.tobytes()

@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ditsp import bounds
+from ditsp.dtrp import DtrpConfig, predicted_system_time
+from ditsp.etsp import PointSet, worst_case_grid
 from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
                             bead_area, bead_contains, bead_width,
                             cylinder_meta_index, cylinder_volume,
                             ell_asymptotic_2d, ell_asymptotic_3d, ell_for_n,
                             ell_for_n_3d, sample_in_bead)
+from ditsp.harness import ExperimentConfig
+from ditsp.planners import rec_bta, rec_cca
 from ditsp.rng import substream
+from ditsp.vehicle import VehicleParams
 
 
 def circumradius(p1, p2, p3):
@@ -294,3 +300,59 @@ def test_ell_for_n_nonincreasing_in_n(n, step, rho, W, h, d):
     assert ell_for_n(W, H, rho, n + step)[0] <= ell_for_n(W, H, rho, n)[0]
     assert (ell_for_n_3d(W, H, D, rho, n + step)[0]
             <= ell_for_n_3d(W, H, D, rho, n)[0])
+
+
+@st.composite
+def _bad_dims(draw):
+    """2 or 3 sides that break the workspace rule: one side NaN, infinite or
+    not positive, or two neighbouring sides ascending (W < H or H < D)."""
+    d = draw(st.sampled_from((2, 3)))
+    sides = sorted(draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d)),
+                   reverse=True)
+    i = draw(st.integers(0, d - 1))
+    if i == d - 1 or draw(st.booleans()):
+        sides[i] = draw(st.floats(max_value=0.0)
+                        | st.sampled_from((math.nan, math.inf)))
+    else:
+        sides[i + 1] = sides[i] + draw(st.floats(1e-6, 1.0))
+    return tuple(sides)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=_bad_dims())
+def test_every_entry_that_takes_sides_rejects_bad_ones(dims):
+    d = len(dims)
+    params = VehicleParams(r_vel=0.1, r_ctr=1.0)
+    origin = PointSet(points=np.zeros((1, d)))
+    calls = [lambda: bounds.dtrp_lower(d, dims, params),
+             lambda: bounds.dtrp_upper(d, dims, params),
+             lambda: bounds.bound_set(dims, params),
+             lambda: predicted_system_time(d, dims, params, 10.0),
+             lambda: DtrpConfig(dims=dims, params=params, lam=10.0)]
+    if d == 2:
+        calls += [lambda: BeadGrid(*dims, BeadSpec.create(0.1, 0.2)),
+                  lambda: ell_for_n(*dims, 0.1, 100),
+                  lambda: rec_bta(origin, params, *dims),
+                  lambda: bounds.tour_lower_2d(*dims, params, 100),
+                  lambda: bounds.tour_upper_2d(*dims, params, 100)]
+    else:
+        calls += [lambda: CylinderGrid(*dims, CylinderSpec.create(0.1, 0.2)),
+                  lambda: ell_for_n_3d(*dims, 0.1, 100),
+                  lambda: rec_cca(origin, params, *dims),
+                  lambda: bounds.tour_lower_3d(*dims, params, 100),
+                  lambda: bounds.tour_upper_3d(*dims, params, 100),
+                  lambda: bounds.dtrp_lower_printed_3d(dims, params)]
+    algos = ["rec_bta" if d == 2 else "rec_cca"]
+    # a stop-go trial and the worst-case grid take their sides in any order
+    if all(math.isfinite(s) and s > 0 for s in dims):
+        assert worst_case_grid(4, d, *dims).n == 4
+    else:
+        calls.append(lambda: worst_case_grid(4, d, *dims))
+        algos += ["sgs", "sgs_grid"] if d == 2 else []
+    calls += [lambda algo=algo: ExperimentConfig(algo=algo, dims=dims,
+                                                 params=params, ns=(4,),
+                                                 n_seeds=1)
+              for algo in algos]
+    for call in calls:
+        with pytest.raises(ValueError, match="^dims "):
+            call()

@@ -133,6 +133,10 @@ def test_params_validation():
         VehicleParams(r_vel=0.0, r_ctr=1.0)
     with pytest.raises(ValueError):
         VehicleParams(r_vel=1.0, r_ctr=-1.0)
+    # finite, positive caps whose turn radius r_vel**2 / r_ctr is 0 or inf
+    for r_vel, r_ctr in ((1e-200, 1.0), (1e200, 1.0), (1.0, 1e-320)):
+        with pytest.raises(ValueError, match="turn radius"):
+            VehicleParams(r_vel=r_vel, r_ctr=r_ctr)
 
 
 @pytest.mark.parametrize("field", ["r_vel", "r_ctr"])

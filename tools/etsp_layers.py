@@ -55,8 +55,7 @@ def main() -> int:
                 lambda: nearest_walk(points, 0, neighbours))
             times["walk"].append(t)
             order = np.append(0, order)
-            t, tour = _timed(lambda: _two_opt(points, order, 50 * n,
-                                              neighbours))
+            t, tour = _timed(lambda: _two_opt(points, order, neighbours))
             times["two_opt"].append(t)
         kd, walk, two_opt = (statistics.median(times[k])
                              for k in ("kd", "walk", "two_opt"))
