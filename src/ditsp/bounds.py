@@ -32,13 +32,23 @@ def _dim(dim: int, dims: tuple) -> int:
     return dim
 
 
+def _power(name: str, base: float, exp: float) -> float:
+    """``base ** exp``, whose overflow, for a large but finite vehicle or
+    turn radius, becomes a ``ValueError`` that names ``name``."""
+    try:
+        return base ** exp
+    except OverflowError:
+        raise ValueError(f"{name} ** {exp} overflows for {name} = {base}") \
+            from None
+
+
 def _scaled(c: float, dims: tuple, params: VehicleParams, per: float = 1.0) -> float:
     """``c`` times the workspace measure over ``per * r_vel * r_ctr**(d-1)``,
     the unit of every bound (d = len(dims)).  ``c`` is multiplied in first
     and ``per`` (a pi in the denominator) into the unit, as the formulas are
     written, so each bound keeps its bits.  Every bound's sides are checked
     here, by :func:`~ditsp.geometry._check_dims`."""
-    unit = per * params.r_vel * params.r_ctr ** (len(dims) - 1)
+    unit = per * params.r_vel * _power("r_ctr", params.r_ctr, len(dims) - 1)
     return math.prod((c, *_check_dims(dims))) / unit
 
 
@@ -48,7 +58,8 @@ def heavy_load(c: float, dims: tuple, params: VehicleParams) -> float:
     lambda^(2d-2) (Bertsimas & van Ryzin 1991)."""
     # _scaled checks the sides before turn_penalty divides by W
     scaled = _scaled(c, dims, params)
-    return scaled * turn_penalty(dims[0], params) ** (2 * len(dims) - 1)
+    return scaled * _power("turn_penalty", turn_penalty(dims[0], params),
+                           2 * len(dims) - 1)
 
 
 def tour_lower_2d(W: float, H: float, params: VehicleParams, n: int) -> float:
@@ -117,7 +128,7 @@ def reachable_leading(dim: int, v: float, params: VehicleParams, t: float) -> fl
     if dim == 2:
         return params.r_ctr * v * t**3 / 6.0
     if dim == 3:
-        return math.pi * params.r_ctr**2 * v * t**5 / 20.0
+        return math.pi * _power("r_ctr", params.r_ctr, 2) * v * t**5 / 20.0
     raise ValueError("dim must be 2 or 3")
 
 

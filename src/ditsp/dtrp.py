@@ -116,7 +116,9 @@ class DtrpConfig:
 
 @dataclass
 class DtrpStats:
-    """Aggregate queue statistics of one run."""
+    """Aggregate queue statistics of one run, streamed block by block: a
+    run holds no per-arrival data beyond one block of the simulation, about
+    ``_BLOCK_ARRIVALS`` plus the largest cell's arrivals."""
 
     mean_system_time: float
     mean_queue_len: float       # whole-system time average, by Little's law
@@ -265,17 +267,21 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     gives every cell's slots (:func:`_fifo_slots`).  Blocks keep the
     temporaries in cache; one pass over a whole long run is slower.  Each
     temporary is overwritten in place once it is no longer needed: the
-    first slots become the service slots, the offsets the waits, the
-    departures the occupancy spans.  Sums that feed the statistics are
-    taken per cell and added in cell order, so the results do not depend
-    on the block size.  The trace holds each of the first ``trace_cells``
+    first slots become the service slots, the offsets the waits (zeroed
+    where not kept), the departures the occupancy spans.  Both statistics,
+    the mean wait and the occupancy integral, are sums taken per cell and
+    added in cell order, so the results do not depend on the block size,
+    and no wait outlives its block: memory holds one block, that is
+    ``_BLOCK_ARRIVALS`` plus the largest cell's arrivals, whatever the
+    horizon.  The trace holds each of the first ``trace_cells``
     cells' first 50 slots and first 200 arrivals with their services.
     """
     horizon = config.n_slots * period
     warmup = config.warmup_fraction * horizon
-    times = []
     served_total = 0
-    occupancy = 0.0  # integral of queue length over the post-warmup window
+    kept_total = 0      # served arrivals past the warm-up
+    wait_total = 0.0    # the sum of their system times
+    occupancy = 0.0     # integral of queue length over the post-warmup window
     first_target_id = 0
     index = np.empty(0, dtype=np.int64)
     for cells, offsets, ends, arrivals in _draw_blocks(config, period,
@@ -302,20 +308,19 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
         keep = depart < horizon
         served_total += int(np.count_nonzero(keep))
         keep &= arrivals >= warmup
+        kept_total += int(np.count_nonzero(keep))
         waits = np.subtract(depart, arrivals, out=offset)
-        times.append(waits[keep])
+        waits *= keep
         span = np.minimum(depart, horizon, out=depart)
         span -= np.maximum(arrivals, warmup, out=arrivals)
         np.maximum(span, 0.0, out=span)
         # every cell of a block has arrivals, so no segment is empty
-        for cell_sum in np.add.reduceat(span, starts).tolist():
-            occupancy += cell_sum
+        for wait_sum, span_sum in zip(np.add.reduceat(waits, starts).tolist(),
+                                      np.add.reduceat(span, starts).tolist()):
+            wait_total += wait_sum
+            occupancy += span_sum
 
-    if times:
-        all_waits = np.concatenate(times)
-        mean_t = float(all_waits.mean()) if len(all_waits) else float("nan")
-    else:
-        mean_t = float("nan")
+    mean_t = wait_total / kept_total if kept_total else float("nan")
     window = horizon - warmup
     queue_per_cell = occupancy / (window * config.n_sample_cells)
     expected_queue = cell_rate * mean_t

@@ -11,9 +11,14 @@ the double integrator exactly when ``rho = s**2 / r_ctr``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+# smallest turn radius whose square is a normal float (2**-511): the cell
+# geometry divides by rho**2, which below it loses bits or underflows to 0
+MIN_TURN_RADIUS = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -33,10 +38,10 @@ class VehicleParams:
             rho = self.turn_radius
         except OverflowError:
             rho = math.inf
-        if not (math.isfinite(rho) and rho > 0):
+        if not (math.isfinite(rho) and rho >= MIN_TURN_RADIUS):
             raise ValueError(f"turn radius r_vel**2 / r_ctr must be finite and "
-                             f"positive, got {rho} for r_vel = {self.r_vel}, "
-                             f"r_ctr = {self.r_ctr}")
+                             f"at least {MIN_TURN_RADIUS:.4g}, got {rho} for "
+                             f"r_vel = {self.r_vel}, r_ctr = {self.r_ctr}")
 
     @property
     def turn_radius(self) -> float:

@@ -112,6 +112,25 @@ def test_bound_set_keys():
     assert "dtrp_lower_3d_printed" in b3 and "dtrp_lower_3d_derived" in b3
 
 
+# a large but finite turn radius (1e300) or control cap (1e200) whose power
+# overflows
+HUGE_TURN = VehicleParams(r_vel=1e150, r_ctr=1.0)
+HUGE_CTR = VehicleParams(r_vel=1e100, r_ctr=1e200)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: dtrp_upper(2, (1.0, 1.0), HUGE_TURN), "turn_penalty"),
+    (lambda: dtrp_upper(3, (1.0, 1.0, 1.0), HUGE_TURN), "turn_penalty"),
+    (lambda: predicted_system_time(2, (1.0, 1.0), HUGE_TURN, 1.0),
+     "turn_penalty"),
+    (lambda: dtrp_lower(3, (1.0, 1.0, 1.0), HUGE_CTR), "r_ctr"),
+    (lambda: reachable_leading(3, 1.0, HUGE_CTR, 1.0), "r_ctr"),
+])
+def test_power_overflow_is_a_value_error(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} \*\* \d overflows"):
+        call()
+
+
 @pytest.mark.parametrize("call", [
     lambda: dtrp_lower(2, (1.0, 1.0, 1.0), UNIT),
     lambda: dtrp_lower(3, (1.0, 1.0), UNIT),

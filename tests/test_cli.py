@@ -153,7 +153,12 @@ def test_bad_workspace_exits_with_one_line(command, width):
     (["tile", "--dim", "3", "--D", "0"], "dims"),
     # r_vel**2 underflows to 0 or overflows to inf
     (["tour", "--algo", "recbta", "--rvel", "1e-200", "--n", "50"], "r_vel"),
-    (["bounds", "--rvel", "1e200"], "r_vel")])
+    (["bounds", "--rvel", "1e200"], "r_vel"),
+    # the turn radius is below MIN_TURN_RADIUS: rho**2 is not a normal float
+    (["tour", "--algo", "recbta", "--rvel", "1e-155", "--n", "50"], "r_vel"),
+    (["dtrp", "--rvel", "1e-150"], "r_vel"),
+    # a finite turn radius of 1e300: turn_penalty**3 overflows
+    (["bounds", "--rvel", "1e150"], "turn_penalty")])
 def test_bad_n_exits_with_one_line(argv, word):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ditsp.rng import substream
-from ditsp.vehicle import VehicleParams, stop_go_time, u_turn_length
+from ditsp.vehicle import (MIN_TURN_RADIUS, VehicleParams, stop_go_time,
+                           u_turn_length)
 
 
 def oracle_stop_go(delta, r_vel, r_ctr, tol=1e-13):
@@ -133,10 +134,17 @@ def test_params_validation():
         VehicleParams(r_vel=0.0, r_ctr=1.0)
     with pytest.raises(ValueError):
         VehicleParams(r_vel=1.0, r_ctr=-1.0)
-    # finite, positive caps whose turn radius r_vel**2 / r_ctr is 0 or inf
-    for r_vel, r_ctr in ((1e-200, 1.0), (1e200, 1.0), (1.0, 1e-320)):
+    # finite, positive caps whose turn radius r_vel**2 / r_ctr is 0 or inf,
+    # or positive but with a square that is not a normal float (the cell
+    # geometry divides by it): 1e-300, 1e-310, 1e-200 and just below 2**-511
+    for r_vel, r_ctr in ((1e-200, 1.0), (1e200, 1.0), (1.0, 1e-320),
+                         (1e-150, 1.0), (1e-155, 1.0), (1.0, 1e200),
+                         (2.0**-255, 2.0 + 2.0**-51)):
         with pytest.raises(ValueError, match="turn radius"):
             VehicleParams(r_vel=r_vel, r_ctr=r_ctr)
+    # the smallest admitted radius, 2**-511
+    params = VehicleParams(r_vel=2.0**-255, r_ctr=2.0)
+    assert params.turn_radius == MIN_TURN_RADIUS
 
 
 @pytest.mark.parametrize("field", ["r_vel", "r_ctr"])

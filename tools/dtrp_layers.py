@@ -9,10 +9,12 @@ and one whole ``dtrp._simulate_cells`` call for ``bta`` (unit square) and
 slots.  The cell is sized as ``run_bta`` and ``run_cca`` size it.  The two
 calls run in turn, once per round; each row gives their medians over the
 rounds and the median of each round's difference, the time of the block
-passes.  ditsp comes from ``src/`` of the checkout this file sits in, so two
-checkouts can be compared with the same script.  The last columns are the
-served count and the mean system time, which two versions that agree bit
-for bit print alike.
+passes.  ``peak_mib`` is the ``tracemalloc`` peak of one more
+``_simulate_cells`` call, made after the timed rounds so that no timed call
+is traced.  ditsp comes from ``src/`` of the checkout this file sits in, so
+two checkouts can be compared with the same script.  The last columns are
+the served count and the mean system time, which two versions that agree
+bit for bit print alike.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -43,11 +46,21 @@ def _timed(call):
     return time.perf_counter() - start, out
 
 
+def _peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"{platform.machine()}")
     print(f"{'policy':>6} {'horizon':>7} {'rounds':>6} {'draw_blocks_s':>14} "
-          f"{'simulate_cells_s':>17} {'block_passes_s':>15}  {'served':>7}  "
+          f"{'simulate_cells_s':>17} {'block_passes_s':>15} {'peak_mib':>9}  "
+          f"{'served':>7}  "
           "mean_system_time")
     for policy, dim, horizon, rounds in CASES:
         config = DtrpConfig(dims=(1.0,) * dim, params=VehicleParams(0.1, 1.0),
@@ -60,9 +73,11 @@ def main() -> int:
             t, stats = _timed(lambda: _simulate_cells(config, period, rate))
             sims.append(t)
         passes = statistics.median(s - d for d, s in zip(draws, sims))
+        peak = _peak_mib(lambda: _simulate_cells(config, period, rate))
         print(f"{policy:>6} {horizon:>7} {rounds:>6} "
               f"{statistics.median(draws):>14.4f} "
-              f"{statistics.median(sims):>17.4f} {passes:>15.4f}  "
+              f"{statistics.median(sims):>17.4f} {passes:>15.4f} "
+              f"{peak:>9.2f}  "
               f"{stats.served:>7}  "
               f"{stats.mean_system_time!r}")
     return 0
