@@ -76,7 +76,7 @@ def cmd_tour(args) -> int:
     config = _checked(args, ExperimentConfig, algo=_ALGO_NAMES[args.algo],
                       dims=_dims(args), params=_params(args), ns=(args.n,),
                       n_seeds=args.trials, master_seed=args.seed)
-    rows = [astuple(r) for r in run_experiment(config)]
+    rows = [astuple(r) for r in _checked(args, run_experiment, config)]
     _emit(rows, TOUR_CSV_FIELDS, args.format, args.out)
     return 0
 
@@ -151,7 +151,7 @@ def cmd_scaling(args) -> int:
                       dims=_dims(args), params=_params(args),
                       ns=tuple(args.ns), n_seeds=args.trials,
                       master_seed=args.seed, workers=args.workers)
-    results = run_experiment(config)
+    results = _checked(args, run_experiment, config)
     if args.out:
         write_tour_csv(results, args.out)
     fit = _checked(args, fit_experiment, results)

@@ -20,8 +20,8 @@ from scipy.optimize import minimize_scalar
 
 from ditsp.bounds import _dim, heavy_load
 from ditsp.geometry import (CYCLE_FACTOR_3D, BeadGrid, BeadSpec, CylinderGrid,
-                            CylinderSpec, _check_dims, bead_area,
-                            cylinder_volume, solve_cell)
+                            CylinderSpec, _check_dims, _check_reach,
+                            bead_area, cylinder_volume, solve_cell)
 from ditsp.planners import bead_sweep, cylinder_sweep
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
@@ -144,7 +144,8 @@ def _size_cell(config: DtrpConfig, x_target: float):
     the solver returns one of its crossings of ``x_target``.  Returns
     ``(ell, period, cell_rate, clamped)``; if even the largest admissible
     cell (ell = 4 rho) cannot reach the target, it is used as is and
-    ``clamped`` is True.
+    ``clamped`` is True.  A grid of that cell whose indices do not fit
+    int64 is a ``ValueError``, as in the tours' cell lookup.
     """
     params = config.params
     rho = params.turn_radius
@@ -154,19 +155,23 @@ def _size_cell(config: DtrpConfig, x_target: float):
     def measured(ell):
         if len(dims) == 2:
             spec = BeadSpec.create(rho, ell)
-            cell, sweep = bead_area(spec), bead_sweep(BeadGrid(*dims, spec), 1).length
+            grid = BeadGrid(*dims, spec)
+            cell, sweep = bead_area(spec), bead_sweep(grid, 1).length
         else:
             spec = CylinderSpec.create(rho, ell)
+            grid = CylinderGrid(*dims, spec)
             cell = cylinder_volume(spec)
-            sweep = CYCLE_FACTOR_3D * cylinder_sweep(CylinderGrid(*dims, spec)).length
-        return config.lam * cell / measure, sweep / params.r_vel
+            sweep = CYCLE_FACTOR_3D * cylinder_sweep(grid).length
+        return config.lam * cell / measure, sweep / params.r_vel, grid
 
     def excess(ell):
-        rate, period = measured(ell)
+        rate, period, _ = measured(ell)
         return rate * period - x_target
 
-    ell, clamped = solve_cell(rho, excess)
-    rate, period = measured(ell)
+    ell, clamped = solve_cell(rho, dims, excess)
+    rate, period, grid = measured(ell)
+    # the bracket's short cells make grids past int64, the policy's may not
+    _check_reach(grid)
     return ell, period, rate, clamped
 
 

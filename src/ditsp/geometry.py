@@ -135,6 +135,8 @@ class BeadGrid:
         self.row_max = int(math.floor(2.0 * H / w)) + 1
         # widest column range over all rows; per-row ranges are derived on demand
         self.n_rows = self.row_max - self.row_min + 1
+        # no lookup of a point of the rectangle gives an index past this
+        self.reach = self.row_max + W / ell + 2.0
 
     def col_range(self, row: int) -> tuple[int, int]:
         """Inclusive column index range of cells in ``row`` intersecting the rectangle."""
@@ -152,17 +154,27 @@ class BeadGrid:
                 row * self.spec.w / 2.0)
 
     def cell_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Owning cell ``(row, col)`` for each point of an (n, 2) array."""
+        """Owning cell ``(row, col)`` for each point of an (n, 2) array.
+
+        A grid whose indices do not fit int64 is a ``ValueError``
+        (:func:`_check_reach`)."""
+        _check_reach(self)
         pts = np.atleast_2d(points)
         a = self.spec.ell / 2.0
         b = self.spec.w / 2.0
-        p = pts[:, 0] / a + pts[:, 1] / b
-        q = pts[:, 0] / a - pts[:, 1] / b
-        P = 2.0 * np.round(p / 2.0)
-        Q = 2.0 * np.round(q / 2.0)
-        i = (Q / 2.0).astype(np.int64)
-        j = ((P - Q) / 2.0).astype(np.int64)
-        return j, i
+        # in place: p, q = x/a +- y/b; P, Q = 2*round(p/2), 2*round(q/2);
+        # col = Q/2, row = (P - Q)/2
+        p = pts[:, 0] / a
+        q = pts[:, 1] / b
+        p, q = p + q, np.subtract(p, q, out=q)
+        for r in (p, q):
+            r /= 2.0
+            np.round(r, out=r)
+            r *= 2.0
+        p -= q
+        p /= 2.0
+        q /= 2.0
+        return p.astype(np.int64), q.astype(np.int64)
 
     def cells(self):
         """Iterate ``(row, col)`` over all cells intersecting the rectangle."""
@@ -173,9 +185,12 @@ class BeadGrid:
 
     def meta_index(self, phase: int, row, col):
         """Aggregate cell index to the meta-cell index of the given phase
-        (see :func:`bead_meta_exponents`)."""
-        vr, vc = bead_meta_exponents(phase)
-        return np.asarray(row) >> vr, np.asarray(col) >> vc
+        (see :func:`bead_meta_exponents`).
+
+        A column whose exponent is 0 comes back unchanged, the caller's own
+        object, so callers must not write into the keys."""
+        return tuple(_shifted(k, e) for k, e in
+                     zip((row, col), bead_meta_exponents(phase)))
 
     def meta_row_count(self, phase: int) -> int:
         """Number of meta-rows intersecting the rectangle at the given phase."""
@@ -225,6 +240,8 @@ class CylinderGrid:
         self.layer_max = int(math.floor((D + rad) / rad))
         self.n_rows = self.row_max - self.row_min + 1
         self.n_layers = self.layer_max - self.layer_min + 1
+        # no lookup of a point of the box gives an index past this
+        self.reach = self.layer_max + self.row_max + self.n_cols + 2.0
 
     def axis_center(self, layer, row):
         """(y, z) coordinates of the cylinder axis for ``(layer, row)``; accepts arrays."""
@@ -236,16 +253,29 @@ class CylinderGrid:
         return y, z
 
     def cell_index(self, points: np.ndarray):
-        """Owning cell ``(layer, row, col)`` for each point of an (n, 3) array."""
+        """Owning cell ``(layer, row, col)`` for each point of an (n, 3) array.
+
+        A grid whose indices do not fit int64 is a ``ValueError``
+        (:func:`_check_reach`)."""
+        _check_reach(self)
         pts = np.atleast_2d(points)
-        u = pts[:, 1] / self.spec.radius
-        v = pts[:, 2] / self.spec.radius
-        # round s and t half down: ties go to the lowest (layer, row)
-        s = np.ceil((u + v) / 2.0 - 0.5).astype(np.int64)
-        t = np.ceil((v - u) / 2.0 - 0.5).astype(np.int64)
-        layer = s + t
-        col = np.clip(np.floor(pts[:, 0] / self.spec.ell).astype(np.int64), 0, self.n_cols - 1)
-        return layer, layer // 2 - t, col
+        col = np.floor(pts[:, 0] / self.spec.ell).astype(np.int64)
+        np.clip(col, 0, self.n_cols - 1, out=col)
+        # in place, from u = y/radius and v = z/radius: s, t = (u + v)/2 -
+        # 1/2 and (v - u)/2 - 1/2 rounded up, which rounds half down: ties
+        # go to the lowest (layer, row); layer = s + t, row = layer//2 - t
+        s = pts[:, 1] / self.spec.radius
+        t = pts[:, 2] / self.spec.radius
+        s, t = s + t, np.subtract(t, s, out=t)
+        for h in (s, t):
+            h /= 2.0
+            h -= 0.5
+            np.ceil(h, out=h)
+        layer, t = s.astype(np.int64), t.astype(np.int64)
+        del s
+        layer += t
+        t -= layer // 2
+        return layer, np.negative(t, out=t), col
 
     def covers(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask: point lies within its owning cylinder."""
@@ -269,11 +299,34 @@ CYCLE_FACTOR_3D = sum(2.0 ** -(b + c) for _, b, c in SUBPHASE_EXPONENTS)
 
 
 def cylinder_meta_index(subphase: int, layer, row, col):
-    """Meta-cylinder index for sub-phase ``subphase`` in {1..5}."""
+    """Meta-cylinder index for sub-phase ``subphase`` in {1..5}.
+
+    A column whose exponent is 0 comes back unchanged, the caller's own
+    object, so callers must not write into the keys."""
     if not 1 <= subphase <= 5:
         raise ValueError("subphase must be in 1..5")
     a, b, c = SUBPHASE_EXPONENTS[subphase - 1]
-    return np.asarray(layer) >> c, np.asarray(row) >> b, np.asarray(col) >> a
+    return _shifted(layer, c), _shifted(row, b), _shifted(col, a)
+
+
+def _shifted(key, exponent: int):
+    """Cell indices ``key`` aggregated ``2**exponent`` to one; ``key``
+    itself when ``exponent`` is 0."""
+    return key if exponent == 0 else np.asarray(key) >> exponent
+
+
+# indices past this do not fit int64 once lookups add a few cells
+_MAX_REACH = 2.0**62
+
+
+def _check_reach(grid) -> None:
+    """Reject a grid whose row, column or layer indices, up to
+    ``grid.reach``, do not fit int64: its cells are too small for its
+    workspace.  Lookups and sweep keys hold indices in int64."""
+    if grid.reach >= _MAX_REACH:
+        raise ValueError(f"cell indices up to {grid.reach:.4g} do not fit "
+                         f"int64: turn radius {grid.spec.rho} is too small "
+                         "for the workspace")
 
 
 def ell_asymptotic_2d(W: float, H: float, rho: float, n: int) -> float:
@@ -309,19 +362,32 @@ def _check_dims(dims) -> tuple:
     return dims
 
 
-def solve_cell(rho: float, excess) -> tuple[float, bool]:
+# largest turn radius, over the workspace's longest side, whose cell
+# solve_cell looks for: brentq bisects down from 4*rho, and on a unit
+# workspace its 100 iterations ran out from rho = 3e16 (n = 1e12) or 2e19
+# (n = 1e6) on; far above, the cell geometry overflows or underflows
+MAX_TURN_RATIO = 2.0**50
+
+
+def solve_cell(rho: float, dims, excess) -> tuple[float, bool]:
     """Cell length where ``excess`` crosses zero on ``(0, 4*rho]``;
     ``(ell, clamped)``.
 
-    ``excess(ell)`` is negative for short cells.  When even the largest
-    admissible cell is not enough, ``excess(4*rho) <= 0``, the result is
-    ``(4*rho, True)``.  Otherwise the bracket's low end starts at
+    ``dims`` are the workspace's sides (:func:`_check_dims`); a turn radius
+    above ``MAX_TURN_RATIO`` times the longest side is a ``ValueError``
+    that names it.  ``excess(ell)`` is negative for short cells.  When even
+    the largest admissible cell is not enough, ``excess(4*rho) <= 0``, the
+    result is ``(4*rho, True)``.  Otherwise the bracket's low end starts at
     ``4e-9*rho`` and shrinks until ``excess`` is negative there, and
     ``brentq`` solves to a relative tolerance of a few ulps.  Where
     ``excess`` involves a sweep period it is a sawtooth, not monotone: the
     grid's row and layer counts are floors, so it crosses zero several
     times close to the root, and ``brentq`` returns one of those crossings.
     """
+    longest = _check_dims(dims)[0]
+    if not rho <= MAX_TURN_RATIO * longest:
+        raise ValueError(f"turn radius {rho} is more than 2**50 times the "
+                         f"workspace's longest side {longest}")
     hi = 4.0 * rho
     if excess(hi) <= 0:
         return hi, True
@@ -335,14 +401,13 @@ def solve_cell(rho: float, excess) -> tuple[float, bool]:
 def ell_for_n(W: float, H: float, rho: float, n: int) -> tuple[float, bool]:
     """Cell length making bead area equal W*H/(2n); ``(ell, clamped)``."""
     _check_n(n)
-    _check_dims((W, H))
-    return solve_cell(rho, lambda ell: bead_area(BeadSpec.create(rho, ell))
-                      - W * H / 2.0 / n)
+    return solve_cell(rho, (W, H), lambda ell:
+                      bead_area(BeadSpec.create(rho, ell)) - W * H / 2.0 / n)
 
 
 def ell_for_n_3d(W: float, H: float, D: float, rho: float, n: int) -> tuple[float, bool]:
     """Cell length making cylinder volume equal W*H*D/(4n); ``(ell, clamped)``."""
     _check_n(n)
-    _check_dims((W, H, D))
-    return solve_cell(rho, lambda ell: cylinder_volume(CylinderSpec.create(rho, ell))
+    return solve_cell(rho, (W, H, D), lambda ell:
+                      cylinder_volume(CylinderSpec.create(rho, ell))
                       - W * H * D / 4.0 / n)

@@ -122,38 +122,56 @@ def _group_key(cols, scale: int = 1) -> np.ndarray:
     span = math.prod(widths)
     if span * scale >= 2**63:
         raise ValueError(f"key span {span} times {scale} is not below 2**63")
-    key = 0
-    for col, lo, width in zip(cols, lows, widths):
-        key = key * width + (col - lo)
+    # one array, built in place: key * width + (col - lo) per column; int64
+    # arithmetic wraps, so the sum is exact whatever its intermediate values
+    key = np.subtract(cols[0], lows[0])
+    for col, lo, width in zip(cols[1:], lows[1:], widths[1:]):
+        key *= width
+        key += col
+        key -= lo
     return key
 
 
-def _serve_and_order(unserved: np.ndarray, idx: np.ndarray, keys, row_top: int):
-    """Mark the oldest target of each meta-cell served; return the served
-    targets in sweep order with their meta-cells.
+def _serve_and_order(keys, row_top: int):
+    """Pick the oldest target of each meta-cell; return their positions in
+    sweep order and a mask of the targets left unserved.
 
-    ``keys`` holds the columns ``[layer,] row, col`` of the unserved targets
-    ``idx`` (ascending, so position is age).  The sweep goes layer by layer,
-    rows from ``row_top`` down, serpentine within rows: its key over
-    ``(layer..., row_top - row, +-col)``, the column negated on odd ranks, is
-    a bijection of the meta-cell key.  One sort of ``sweep_key * m +
-    position`` puts each meta-cell's targets in a run, oldest first, and the
-    runs in sweep order.  This needs ``(key span) * m < 2**63``, else a
-    ``ValueError`` names both numbers.  On 1e6
-    uniform points (``r_vel`` 0.1 and 0.3, unit workspace) the largest
-    ``(key + 1) * m`` is 7.4e13 for :func:`rec_bta`, 8e-6 of 2**63, and
-    6.5e12 for :func:`rec_cca`; in 2D it grows about as ``n**(7/3)``.
+    ``keys`` holds the columns ``[layer,] row, col`` of the m unserved
+    targets, oldest first, and is not written.  The sweep goes layer by
+    layer, rows from ``row_top`` down, serpentine within rows: its key over
+    ``(layer..., row_top - row, +-col)``, the column negated on odd ranks,
+    is a bijection of the meta-cell key.  One in-place sort of ``sweep_key
+    * m + position`` puts each meta-cell's targets in a run, oldest first,
+    and the runs in sweep order; a run's head is a served target.  This
+    needs ``(key span) * m < 2**63``, else a ``ValueError`` names both
+    numbers.  On 1e6 uniform points (``r_vel`` 0.1 and 0.3, unit workspace)
+    the largest ``(key + 1) * m`` is 7.4e13 for :func:`rec_bta`, 8e-6 of
+    2**63, and 6.5e12 for :func:`rec_cca`; in 2D it grows about as
+    ``n**(7/3)``.
+
+    Returns ``(first, keep)``: the served positions in sweep order (index
+    ``keys`` with them) and an m-long mask, False at ``first``.
     """
-    m = len(idx)
     *layers, row, col = keys
-    rank = row_top - row  # 0 for the top row
-    signed_col = np.where(rank % 2 == 0, col, -col)
-    sweep = _group_key((*layers, rank, signed_col), m)
-    ranked = np.sort(sweep * m + np.arange(m))
+    m = len(col)
+    rank = np.subtract(row_top, row)  # 0 for the top row
+    signed_col = np.negative(col, out=col.copy(), where=rank % 2 != 0)
+    key = _group_key((*layers, rank, signed_col), m)
+    del rank, signed_col
+    key *= m
+    pos = np.arange(m)
+    key += pos
+    key.sort()
     # a run starts where the sweep key changes; sweep keys are >= 0
-    first = ranked[np.diff(ranked // m, prepend=-1) != 0] % m
-    unserved[idx[first]] = False
-    return idx[first], tuple(k[first] for k in keys)
+    sweep = np.floor_divide(key, m, out=pos)
+    starts = np.empty(m, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sweep[1:], sweep[:-1], out=starts[1:])
+    first = key[starts]
+    first %= m
+    keep = np.ones(m, dtype=bool)
+    keep[first] = False
+    return first, keep
 
 
 def _runs(cols) -> int:
@@ -177,10 +195,10 @@ def _check_workspace(pset: PointSet, dims) -> None:
                              f"{axis} = {high} > {name} = {size}")
 
 
-def _cleanup_tail(pset, unserved, reports, visit_chunks, params) -> Tour:
+def _cleanup_tail(pset, leftover_idx, reports, visit_chunks, params) -> Tour:
     """The sweeps' tour, one row per phase report at the speed cap, completed
-    by a greedy stop-go cleanup from the origin."""
-    leftover_idx = np.flatnonzero(unserved)
+    by a greedy stop-go cleanup from the origin over the targets
+    ``leftover_idx``."""
     legs, clean_order = greedy_cleanup(pset.points[leftover_idx], np.zeros(pset.d))
     visit_chunks.append(leftover_idx[clean_order])
     rows = [(r.length, r.length / params.r_vel) for r in reports]
@@ -246,7 +264,10 @@ def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.
 
     The vehicle cruises at the speed cap during the recursive sweeps (turn
     radius ``params.turn_radius``) and uses stop-go legs for the final greedy
-    cleanup.  Runs ``ceil(log2 n) + 1`` recursive phases.
+    cleanup.  Runs ``ceil(log2 n) + 1`` recursive phases.  The cells are
+    looked up once; each phase works only on the targets still unserved,
+    whose ascending indices and cell columns it compacts with one mask once
+    it has served the oldest target of each meta-cell.
     """
     if pset.d != 2:
         raise ValueError("rec_bta requires 2D points")
@@ -259,23 +280,21 @@ def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.
     lo, hi = grid.col_range(0)
 
     n_phases = int(math.ceil(math.log2(n))) + 1
-    unserved = np.ones(n, dtype=bool)
+    idx = np.arange(n)
     reports, visit_chunks = [], []
 
     for phase in range(1, n_phases + 1):
-        idx = np.flatnonzero(unserved)
-        keys = grid.meta_index(phase, rows[idx], cols[idx])
         top, (col_lo, col_hi) = grid.meta_index(phase, grid.row_max, [lo, hi])
-        order, _ = _serve_and_order(unserved, idx, keys, top)
-        visit_chunks.append(order)
+        first, keep = _serve_and_order(grid.meta_index(phase, rows, cols), top)
+        visit_chunks.append(idx[first])
+        idx, rows, cols = idx[keep], rows[keep], cols[keep]
         sweep = bead_sweep(grid, phase)
         reports.append(PhaseReport(
             phase=phase, meta_size=1 << (phase - 1),
             cells_traversed=sweep.n_rows * int(col_hi - col_lo + 1),
-            served=len(order), leftover_after=int(unserved.sum()),
-            length=sweep.length))
+            served=len(first), leftover_after=len(idx), length=sweep.length))
 
-    return _cleanup_tail(pset, unserved, reports, visit_chunks, params), reports
+    return _cleanup_tail(pset, idx, reports, visit_chunks, params), reports
 
 
 def rec_cca(pset: PointSet, params: VehicleParams,
@@ -285,7 +304,10 @@ def rec_cca(pset: PointSet, params: VehicleParams,
     Each phase runs five sub-phases over meta-cylinders of 1, 2, 4, 8 and 16
     cells; between phases the cell is enlarged to twice its length (about 32
     times its volume).  Runs ``ceil((log2 n + 7) / 5)`` phases, then a greedy
-    stop-go cleanup.
+    stop-go cleanup.  Each phase looks up the cells of the targets still
+    unserved on its own grid; each sub-phase works only on those targets and
+    compacts their ascending indices and cell columns with one mask once it
+    has served the oldest target of each meta-cylinder.
     """
     if pset.d != 3:
         raise ValueError("rec_cca requires 3D points")
@@ -294,33 +316,32 @@ def rec_cca(pset: PointSet, params: VehicleParams,
     rho = params.turn_radius
     ell0, _ = ell_for_n_3d(W, H, D, rho, n)
     n_phases = int(math.ceil((math.log2(n) + 7.0) / 5.0)) if n > 1 else 1
-    unserved = np.ones(n, dtype=bool)
+    idx = np.arange(n)
     reports, visit_chunks = [], []
 
     for phase in range(1, n_phases + 1):
         ell_p = min(2.0 ** (phase - 1) * ell0, 4.0 * rho)
         grid = CylinderGrid(W, H, D, CylinderSpec.create(rho, ell_p))
-        idx_phase = np.flatnonzero(unserved)
-        lay, row, col = grid.cell_index(pset.points[idx_phase])
+        lay, row, col = grid.cell_index(pset.points[idx])
 
         for sub, (a, b, c) in enumerate(SUBPHASE_EXPONENTS, 1):
-            still = unserved[idx_phase]
-            idx = idx_phase[still]
-            keys = cylinder_meta_index(sub, lay[still], row[still], col[still])
+            keys = cylinder_meta_index(sub, lay, row, col)
             _, top, col_last = cylinder_meta_index(sub, 0, grid.row_max,
                                                    grid.n_cols - 1)
-            order, served_keys = _serve_and_order(unserved, idx, keys, top)
-            visit_chunks.append(order)
+            first, keep = _serve_and_order(keys, top)
+            visit_chunks.append(idx[first])
+            idx, lay, row, col = idx[keep], lay[keep], row[keep], col[keep]
             # only meta-rows that still hold unserved targets are swept;
             # empty cylinders need no pass.  Every occupied meta-cylinder
             # serves one target, so the runs of the served targets' keys, in
             # sweep order, count the occupied (layer, row) pairs and layers
-            sweep = cylinder_sweep(grid, sub, n_rows=_runs(served_keys[:2]),
+            served_keys = [key[first] for key in keys[:2]]
+            sweep = cylinder_sweep(grid, sub, n_rows=_runs(served_keys),
                                    n_layers=_runs(served_keys[:1]))
             reports.append(PhaseReport(
                 phase=phase, meta_size=1 << (a + b + c),
                 cells_traversed=sweep.n_rows * int(col_last + 1),
-                served=len(order), leftover_after=int(unserved.sum()),
+                served=len(first), leftover_after=len(idx),
                 length=sweep.length, subphase=sub))
 
-    return _cleanup_tail(pset, unserved, reports, visit_chunks, params), reports
+    return _cleanup_tail(pset, idx, reports, visit_chunks, params), reports

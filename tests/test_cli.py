@@ -158,7 +158,18 @@ def test_bad_workspace_exits_with_one_line(command, width):
     (["tour", "--algo", "recbta", "--rvel", "1e-155", "--n", "50"], "r_vel"),
     (["dtrp", "--rvel", "1e-150"], "r_vel"),
     # a finite turn radius of 1e300: turn_penalty**3 overflows
-    (["bounds", "--rvel", "1e150"], "turn_penalty")])
+    (["bounds", "--rvel", "1e150"], "turn_penalty"),
+    # a turn radius of 1.49e-154: no grid of its cells indexes in int64
+    (["tour", "--algo", "recbta", "--rvel", "1.2214e-77", "--n", "50"], "int64:"),
+    (["tour", "--algo", "reccca", "--dim", "3", "--D", "1",
+      "--rvel", "1.2214e-77", "--n", "50"], "int64:"),
+    (["dtrp", "--rvel", "1.2214e-77", "--horizon", "20"], "int64:"),
+    # turn radii of 1e140 and 1e200, far past 2**50 times the unit side
+    (["tour", "--algo", "recbta", "--rvel", "1e70", "--n", "50"], "2**50"),
+    (["tour", "--algo", "recbta", "--rvel", "1e100", "--n", "50"], "2**50"),
+    (["dtrp", "--rvel", "1e70"], "2**50"),
+    (["scaling", "--algo", "reccca", "--dim", "3", "--D", "1",
+      "--rvel", "1e70", "--ns", "20", "40"], "2**50")])
 def test_bad_n_exits_with_one_line(argv, word):
     with pytest.raises(SystemExit) as exc:
         main(argv)

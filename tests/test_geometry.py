@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from ditsp import bounds
 from ditsp.dtrp import DtrpConfig, predicted_system_time
 from ditsp.etsp import PointSet, worst_case_grid
-from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
-                            bead_area, bead_contains, bead_width,
+from ditsp.geometry import (MAX_TURN_RATIO, BeadGrid, BeadSpec, CylinderGrid,
+                            CylinderSpec, bead_area, bead_contains, bead_width,
                             cylinder_meta_index, cylinder_volume,
                             ell_asymptotic_2d, ell_asymptotic_3d, ell_for_n,
                             ell_for_n_3d, sample_in_bead)
@@ -356,3 +356,77 @@ def test_every_entry_that_takes_sides_rejects_bad_ones(dims):
     for call in calls:
         with pytest.raises(ValueError, match="^dims "):
             call()
+
+
+# -- lookups built in place, and their int64 reach ---------------------------
+
+def _bead_lookup_reference(grid, pts):
+    """``(row, col)`` by the shear formulas, one fresh array per step."""
+    a, b = grid.spec.ell / 2.0, grid.spec.w / 2.0
+    p = pts[:, 0] / a + pts[:, 1] / b
+    q = pts[:, 0] / a - pts[:, 1] / b
+    P = 2.0 * np.round(p / 2.0)
+    Q = 2.0 * np.round(q / 2.0)
+    return ((P - Q) / 2.0).astype(np.int64), (Q / 2.0).astype(np.int64)
+
+
+def _cylinder_lookup_reference(grid, pts):
+    """``(layer, row, col)`` by the lattice formulas, one fresh array per step."""
+    u = pts[:, 1] / grid.spec.radius
+    v = pts[:, 2] / grid.spec.radius
+    s = np.ceil((u + v) / 2.0 - 0.5).astype(np.int64)
+    t = np.ceil((v - u) / 2.0 - 0.5).astype(np.int64)
+    col = np.clip(np.floor(pts[:, 0] / grid.spec.ell).astype(np.int64),
+                  0, grid.n_cols - 1)
+    return s + t, (s + t) // 2 - t, col
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rho=st.floats(1e-4, 1.0),
+       ell_frac=st.floats(1e-3, 1.0), W=st.floats(0.5, 2.0),
+       h=st.floats(0.1, 1.0), d=st.floats(0.1, 1.0))
+def test_lookups_match_reference_and_stay_within_reach(seed, rho, ell_frac, W,
+                                                       h, d):
+    rng = substream(7, 7, seed)
+    spec2 = BeadSpec.create(rho, 4.0 * rho * ell_frac)
+    spec3 = CylinderSpec.create(rho, 4.0 * rho * ell_frac)
+    for box, grid, reference in (
+            ((W, W * h), BeadGrid(W, W * h, spec2), _bead_lookup_reference),
+            ((W, W * h, W * h * d), CylinderGrid(W, W * h, W * h * d, spec3),
+             _cylinder_lookup_reference)):
+        dim = len(box)
+        # the box's corners, then random points, some rounded onto ties
+        corners = np.array(np.meshgrid(*[[0.0, 1.0]] * dim)).reshape(dim, -1).T
+        pts = np.vstack((corners, rng.uniform(size=(300, dim)),
+                         np.round(rng.uniform(size=(100, dim)), 2))) * box
+        got, want = grid.cell_index(pts), reference(grid, pts)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert max(int(np.abs(g).max()) for g in got) <= grid.reach
+
+
+def test_lookup_rejects_a_grid_past_int64():
+    # a turn radius of 2**-511 with cells of its largest size: 5e153 rows
+    rho = 2.0**-511
+    for d, grid in ((2, BeadGrid(1.0, 1.0, BeadSpec.create(rho, 4.0 * rho))),
+                    (3, CylinderGrid(1.0, 1.0, 1.0,
+                                     CylinderSpec.create(rho, 4.0 * rho)))):
+        # built, as the DTRP cell sizing builds its bracket's short cells
+        assert grid.reach > 2.0**63
+        with pytest.raises(ValueError, match=f"int64: turn radius {rho} "):
+            grid.cell_index(np.zeros((1, d)))
+
+
+def test_cell_sizing_rejects_a_turn_radius_past_the_ratio():
+    above = math.nextafter(MAX_TURN_RATIO, math.inf)
+    for scale in (1.0, 1e-10, 1e10):
+        # the bound scales with the workspace, and holds at equality
+        assert 0.0 < ell_for_n(scale, scale, MAX_TURN_RATIO * scale, 10**6)[0]
+        assert 0.0 < ell_for_n_3d(scale, scale, scale, MAX_TURN_RATIO * scale,
+                                  10**6)[0]
+        with pytest.raises(ValueError, match="^turn radius "):
+            ell_for_n(scale, scale, above * scale, 50)
+        with pytest.raises(ValueError, match="^turn radius "):
+            ell_for_n_3d(scale, scale, scale, above * scale, 50)
+    # far past it, the cell geometry would overflow: (4 * rho)**2 is inf
+    with pytest.raises(ValueError, match="^turn radius 1e\\+200 "):
+        ell_for_n(1.0, 1.0, 1e200, 50)
