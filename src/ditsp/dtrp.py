@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ditsp.bounds import _dim, heavy_load
 from ditsp.geometry import (CYCLE_FACTOR_3D, BeadGrid, BeadSpec, CylinderGrid,
@@ -63,7 +62,10 @@ def tune_policy(dim: int) -> PolicyTuning:
     The system time scales as ``g(x) = x**-p * (1 + x/(2(1-x)))``, the M/D/1
     time at unit service, with p = 2 in the plane and p = 4 in space; the
     cell size realizing utilization x is ``ell = x * a / lam`` (2D) or
-    ``ell = x * a / (X_FACTOR_3D * lam)`` (3D).
+    ``ell = x * a / (X_FACTOR_3D * lam)`` (3D).  ``g``'s log-derivative
+    ``-p/x + 1/((1-x)(2-x))`` vanishes in (0, 1) at the smaller root of
+    ``p x**2 - (3p+1) x + 2p``: ``(7 - sqrt(17))/4`` in 2D and
+    ``(13 - sqrt(41))/8`` in 3D.
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
@@ -74,15 +76,14 @@ def tune_policy(dim: int) -> PolicyTuning:
     }[dim]
     p = 2 * dim - 2
     g = lambda x: x ** (-p) * md1_system_time(x, 1.0)
-    res = minimize_scalar(g, bounds=(1e-9, 1.0 - 1e-9), method="bounded",
-                          options={"xatol": 1e-13})
-    x_star = float(res.x)
+    q = 3 * p + 1
+    x_star = (q - math.sqrt(q * q - 8 * p * p)) / (2 * p)
     c_over_a = x_star / x_factor
     # the coefficient at utilization x is scale * g(x)
     scale = budget * x_factor**p
     return PolicyTuning(
         dim=dim, x_star=x_star, c_over_a=c_over_a,
-        coefficient=scale * float(res.fun), c_printed=c_printed,
+        coefficient=scale * g(x_star), c_printed=c_printed,
         printed_consistent=abs(c_over_a - c_printed) / c_printed < 0.01,
         coefficient_at_printed=scale * g(c_printed * x_factor))
 

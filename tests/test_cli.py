@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ditsp
 from ditsp.cli import main
 
 
@@ -169,13 +174,32 @@ def test_bad_workspace_exits_with_one_line(command, width):
     (["tour", "--algo", "recbta", "--rvel", "1e100", "--n", "50"], "2**50"),
     (["dtrp", "--rvel", "1e70"], "2**50"),
     (["scaling", "--algo", "reccca", "--dim", "3", "--D", "1",
-      "--rvel", "1e70", "--ns", "20", "40"], "2**50")])
+      "--rvel", "1e70", "--ns", "20", "40"], "2**50"),
+    # turn radii of 1e-146 and 1e-132, below 2**-64 times the unit side:
+    # the cell solver's probe grids overflowed or gave NaN values
+    (["dtrp", "--policy", "cca", "--dim", "3", "--D", "1", "--rvel", "1e-73",
+      "--horizon", "20"], "2**-64"),
+    (["dtrp", "--policy", "cca", "--dim", "3", "--D", "1", "--rvel", "1e-66",
+      "--horizon", "20"], "2**-64")])
 def test_bad_n_exits_with_one_line(argv, word):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     message = str(exc.value.code)
     assert message.startswith(f"{argv[0]}: ") and "\n" not in message
     assert word in message.split()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # in a fresh interpreter: scipy.stats, which other tests import, loads
+    # scipy.optimize into this one
+    src = str(Path(ditsp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, ditsp, ditsp.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("flag", [["--n=7"], ["--n", "7"]])

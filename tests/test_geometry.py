@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize  # only as the oracle of geometry._brentq
 
-from ditsp import bounds
-from ditsp.dtrp import DtrpConfig, predicted_system_time
+from ditsp import bounds, geometry
+from ditsp.dtrp import DtrpConfig, _size_cell, predicted_system_time
 from ditsp.etsp import PointSet, worst_case_grid
-from ditsp.geometry import (MAX_TURN_RATIO, BeadGrid, BeadSpec, CylinderGrid,
+from ditsp.geometry import (MAX_TURN_RATIO, MIN_TURN_RATIO, BeadGrid, BeadSpec, CylinderGrid,
                             CylinderSpec, bead_area, bead_contains, bead_width,
                             cylinder_meta_index, cylinder_volume,
                             ell_asymptotic_2d, ell_asymptotic_3d, ell_for_n,
@@ -430,3 +431,107 @@ def test_cell_sizing_rejects_a_turn_radius_past_the_ratio():
     # far past it, the cell geometry would overflow: (4 * rho)**2 is inf
     with pytest.raises(ValueError, match="^turn radius 1e\\+200 "):
         ell_for_n(1.0, 1.0, 1e200, 50)
+
+
+def test_cell_sizing_rejects_a_turn_radius_below_the_ratio():
+    # powers of two, so that the bound and its next float below are exact
+    for scale in (1.0, 2.0**-30, 2.0**30):
+        rho = MIN_TURN_RATIO * scale
+        below = math.nextafter(rho, 0.0)
+        assert ell_for_n(scale, scale, rho, 50) == (4.0 * rho, True)
+        # a tour needs n past 2**124 to solve below the clamp at the bound
+        assert not ell_for_n(scale, scale, rho, 2**130)[1]
+        assert not ell_for_n_3d(scale, scale, scale, rho, 2**200)[1]
+        with pytest.raises(ValueError, match="int64: turn radius "):
+            ell_for_n(scale, scale, below, 50)
+        with pytest.raises(ValueError, match="int64: turn radius "):
+            ell_for_n_3d(scale, scale, scale, below, 50)
+        at = VehicleParams(r_vel=1.0, r_ctr=1.0 / rho)
+        # two ulps below: 1 / (1/rho + one ulp)
+        under = VehicleParams(r_vel=1.0,
+                              r_ctr=math.nextafter(1.0 / rho, math.inf))
+        assert at.turn_radius == rho
+        assert under.turn_radius == math.nextafter(below, 0.0)
+        for dims in ((scale, scale), (scale, scale, scale)):
+            # at the bound the bracket's probe grids stay finite; the cell
+            # found is past int64 for the lookups, as every cell of the
+            # radius is (at most 4*rho long, 2**62 of them along the side)
+            with pytest.raises(ValueError, match="too small for the workspace"):
+                _size_cell(DtrpConfig(dims=dims, params=at, lam=20.0), 0.7)
+            with pytest.raises(ValueError, match="less than 2\\*\\*-64 times"):
+                _size_cell(DtrpConfig(dims=dims, params=under, lam=20.0), 0.7)
+
+
+@pytest.fixture
+def brentq_oracle(monkeypatch):
+    """Route solve_cell's root finder through the port and through
+    ``scipy.optimize.brentq``; collect both roots of every solve."""
+    port, roots = geometry._brentq, []
+
+    def both(f, a, b, xtol, rtol):
+        roots.append((port(f, a, b, xtol=xtol, rtol=rtol),
+                      optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)))
+        return roots[-1][0]
+
+    monkeypatch.setattr(geometry, "_brentq", both)
+    return roots
+
+
+def test_brentq_port_matches_scipy_on_the_cell_solves(brentq_oracle):
+    # the excess of the tours' cells is smooth; the DTRP's is a sawtooth in
+    # ell with several crossings near the root, so the port must take the
+    # same steps to return the same one
+    for side in (1.0, 7.5, 1e-3, 1e4):
+        for rho in (0.003 * side, 0.02 * side, 0.1 * side, 0.6 * side):
+            for n in (2, 30, 200, 3000, 10**4, 10**5, 10**6, 10**9, 10**12):
+                ell_for_n(side, 0.6 * side, rho, n)
+                ell_for_n_3d(side, 0.8 * side, 0.5 * side, rho, n)
+    for dims, r_vel in (((1.0, 1.0), 0.1), ((2.0, 0.5), 0.3),
+                        ((1.0, 1.0, 1.0), 0.1), ((3.0, 1.0, 0.5), 0.05)):
+        params = VehicleParams(r_vel=r_vel, r_ctr=1.0)
+        for lam in (0.5, 2.0, 7.0, 20.0, 40.0, 150.0, 600.0):
+            for x in (0.5, 0.7192235935955849, 0.8246094703208939):
+                _size_cell(DtrpConfig(dims=dims, params=params, lam=lam), x)
+    assert len(brentq_oracle) > 250
+    assert all(got == want for got, want in brentq_oracle)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0)])
+@pytest.mark.parametrize("xtol, rtol", [(2e-12, 4 * np.finfo(float).eps),
+                                        (1e-300, 4 * np.finfo(float).eps),
+                                        (1e-3, 1e-6)])
+def test_brentq_port_takes_scipys_steps_on_smooth_functions(f, a, b, xtol,
+                                                             rtol):
+    steps = ([], [])
+
+    def traced(k):
+        return lambda x: steps[k].append(x) or f(x)
+
+    got = geometry._brentq(traced(0), a, b, xtol=xtol, rtol=rtol)
+    assert got == optimize.brentq(traced(1), a, b, xtol=xtol, rtol=rtol)
+    assert steps[0] == steps[1]
+
+
+def test_brentq_port_fails_as_scipy_does():
+    eps4 = 4 * np.finfo(float).eps
+    cases = [
+        # NaN value: the message names x
+        (ValueError, lambda x: math.nan if x < 0.5 else x - 0.7, 0.1, 1.0,
+         {}),
+        # no sign change over the bracket
+        (ValueError, lambda x: x * x + 1.0, -1.0, 1.0, {}),
+        # a step, so mostly bisection: 100 halvings of 2e300 stay far above
+        # the tolerance
+        (RuntimeError, lambda x: 1.0 if x > 1e-250 else -1.0, -1e300, 1e300,
+         {"xtol": 1e-300}),
+        (ValueError, lambda x: x - 0.5, 0.0, 1.0, {"xtol": 0.0}),
+        (ValueError, lambda x: x - 0.5, 0.0, 1.0, {"rtol": eps4 / 2})]
+    for error, f, a, b, options in cases:
+        kw = {"xtol": 2e-12, "rtol": eps4} | options
+        with pytest.raises(error) as want:
+            optimize.brentq(f, a, b, **kw)
+        with pytest.raises(error) as got:
+            geometry._brentq(f, a, b, **kw)
+        assert str(got.value) == str(want.value)
