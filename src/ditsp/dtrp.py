@@ -146,7 +146,9 @@ def _size_cell(config: DtrpConfig, x_target: float):
     ``(ell, period, cell_rate, clamped)``; if even the largest admissible
     cell (ell = 4 rho) cannot reach the target, it is used as is and
     ``clamped`` is True.  A grid of that cell whose indices do not fit
-    int64 is a ``ValueError``, as in the tours' cell lookup.
+    int64 is a ``ValueError``, as in the tours' cell lookup; it names
+    ``lam`` unless the cell is clamped.  So does a cell that still exceeds
+    the target with such a grid: the crossing lies at shorter cells yet.
     """
     params = config.params
     rho = params.turn_radius
@@ -165,14 +167,21 @@ def _size_cell(config: DtrpConfig, x_target: float):
             sweep = CYCLE_FACTOR_3D * cylinder_sweep(grid).length
         return config.lam * cell / measure, sweep / params.r_vel, grid
 
+    too_high = (f"arrival rate lam {config.lam:g} is too high for the "
+                "workspace and turn radius")
+
     def excess(ell):
-        rate, period, _ = measured(ell)
-        return rate * period - x_target
+        rate, period, grid = measured(ell)
+        value = rate * period - x_target
+        if value > 0:
+            # before the probe grids overflow and the solver runs astray
+            _check_reach(grid, too_high)
+        return value
 
     ell, clamped = solve_cell(rho, dims, excess)
     rate, period, grid = measured(ell)
     # the bracket's short cells make grids past int64, the policy's may not
-    _check_reach(grid)
+    _check_reach(grid, None if clamped else too_high)
     return ell, period, rate, clamped
 
 

@@ -2,14 +2,42 @@
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ditsp.geometry import _check_dims, _check_n
 from ditsp.rng import substream
+
+
+def _load_ckdtree():
+    """scipy's ``cKDTree``, from its extension module alone.
+
+    ``from scipy.spatial import cKDTree`` runs ``scipy/spatial/__init__.py``,
+    which loads qhull, ``distance``, ``transform``, ``scipy.linalg``,
+    ``scipy.special`` and ``scipy.constants``: about 15 MiB and 0.1 s of
+    import that no tour uses.  The extension, ``scipy.spatial._ckdtree``,
+    needs only ``scipy.sparse``.  It goes into ``sys.modules`` under its own
+    name before it runs, so a later ``import scipy.spatial`` reuses this
+    module and its class, and never loads the extension twice.
+    """
+    name = "scipy.spatial._ckdtree"
+    module = sys.modules.get(name)
+    if module is None:
+        package = importlib.util.find_spec("scipy.spatial")  # runs scipy only
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, package.submodule_search_locations)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.cKDTree
+
+
+cKDTree = _load_ckdtree()
 
 # 2-opt scans each city's _KNN nearest neighbours; up to this size a row that
 # a scan runs off grows on demand, up to every point, so scans see every

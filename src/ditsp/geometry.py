@@ -318,14 +318,16 @@ def _shifted(key, exponent: int):
 _MAX_REACH = 2.0**62
 
 
-def _check_reach(grid) -> None:
+def _check_reach(grid, cause: str | None = None) -> None:
     """Reject a grid whose row, column or layer indices, up to
     ``grid.reach``, do not fit int64: its cells are too small for its
-    workspace.  Lookups and sweep keys hold indices in int64."""
+    workspace.  Lookups and sweep keys hold indices in int64.  The error
+    blames the turn radius unless ``cause`` names what made the cells."""
     if grid.reach >= _MAX_REACH:
+        cause = cause or (f"turn radius {grid.spec.rho} is too small for "
+                          "the workspace")
         raise ValueError(f"cell indices up to {grid.reach:.4g} do not fit "
-                         f"int64: turn radius {grid.spec.rho} is too small "
-                         "for the workspace")
+                         f"int64: {cause}")
 
 
 def ell_asymptotic_2d(W: float, H: float, rho: float, n: int) -> float:

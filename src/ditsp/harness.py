@@ -45,6 +45,8 @@ class ExperimentConfig:
             raise ValueError(f"n must be >= 1, got {min(self.ns)}")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         want = 3 if self.algo == "rec_cca" else 2
         if len(self.dims) != want:
             raise ValueError(f"{self.algo} needs {want} workspace dimensions")
@@ -105,11 +107,13 @@ def run_trial(config: ExperimentConfig, n: int, seed: int) -> TrialResult:
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """All (n, seed) trials, sorted by (n, seed)."""
+    """All (n, seed) trials, sorted by (n, seed); on at most one process
+    per trial, since a fork pool starts all of its workers at once."""
     jobs = [(config, n, seed)
             for n in config.ns for seed in range(config.n_seeds)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, *zip(*jobs), chunksize=1))
     else:
         results = [run_trial(*j) for j in jobs]

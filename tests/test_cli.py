@@ -180,7 +180,16 @@ def test_bad_workspace_exits_with_one_line(command, width):
     (["dtrp", "--policy", "cca", "--dim", "3", "--D", "1", "--rvel", "1e-73",
       "--horizon", "20"], "2**-64"),
     (["dtrp", "--policy", "cca", "--dim", "3", "--D", "1", "--rvel", "1e-66",
-      "--horizon", "20"], "2**-64")])
+      "--horizon", "20"], "2**-64"),
+    # rates whose cells have grids past int64: the solver ran out of its
+    # 100 iterations at 1e200, and 1e12 blamed the turn radius
+    (["dtrp", "--lambda", "1e200", "--horizon", "20"], "lam"),
+    (["dtrp", "--lambda", "1e12", "--horizon", "20"], "lam"),
+    (["dtrp", "--policy", "cca", "--dim", "3", "--D", "1", "--lambda", "1e200",
+      "--horizon", "20"], "lam"),
+    (["dtrp", "--policy", "cca", "--dim", "3", "--D", "1", "--lambda", "1e12",
+      "--horizon", "20"], "lam"),
+    (["scaling", "--ns", "20", "40", "--workers", "0"], "workers")])
 def test_bad_n_exits_with_one_line(argv, word):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -189,17 +198,25 @@ def test_bad_n_exits_with_one_line(argv, word):
     assert word in message.split()
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+@pytest.mark.parametrize("code, printed", [
+    # ditsp loads only scipy's kd-tree extension, not scipy.spatial's
+    # __init__ with its linalg, special and qhull
+    ("import sys, ditsp, ditsp.cli; print([m for m in ('scipy.optimize', "
+     "'scipy.spatial', 'scipy.linalg', 'scipy.special') if m in sys.modules])",
+     "[]"),
+    # a later import of scipy.spatial reuses that one extension module
+    ("import ditsp.etsp, scipy.spatial; "
+     "print(ditsp.etsp.cKDTree is scipy.spatial.cKDTree)", "True")],
+    ids=["lean", "one-extension"])
+def test_import_leaves_scipy_optimize_unloaded(code, printed):
     # in a fresh interpreter: scipy.stats, which other tests import, loads
-    # scipy.optimize into this one
+    # scipy.optimize and scipy.spatial into this one
     src = str(Path(ditsp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = ("import sys, ditsp, ditsp.cli; "
-            "print('scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.strip() == printed
 
 
 @pytest.mark.parametrize("flag", [["--n=7"], ["--n", "7"]])

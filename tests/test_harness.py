@@ -76,6 +76,40 @@ def test_experiment_reproducible_across_worker_counts(tmp_path):
     assert p1.read_bytes() == p4.read_bytes()
 
 
+class _RecordingPool:
+    """Stands in for the process pool: records its size, maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("workers, ns, n_seeds, sizes", [
+    (8, (100,), 2, [2]), (3, (100, 200), 2, [3]), (8, (100,), 1, []),
+    (1, (100, 200), 2, [])])
+def test_pool_has_at_most_one_worker_per_trial(monkeypatch, workers, ns,
+                                               n_seeds, sizes):
+    # a fork pool starts every worker at once, however few the trials
+    monkeypatch.setattr("ditsp.harness.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = ExperimentConfig(algo="sgs", dims=(1.0, 1.0), params=SLOW, ns=ns,
+                           n_seeds=n_seeds, master_seed=9, workers=workers)
+    results = run_experiment(cfg)
+    assert _RecordingPool.sizes == sizes
+    assert results == [run_trial(cfg, n, seed)
+                       for n in ns for seed in range(n_seeds)]
+
+
 def test_fit_experiment_on_results():
     cfg = ExperimentConfig(algo="rec_bta", dims=(1.0, 1.0), params=SLOW,
                            ns=(1000, 4000, 16000), n_seeds=2, master_seed=2)
@@ -114,6 +148,11 @@ def test_config_validation():
                            match=f"n_seeds must be >= 1, got {n_seeds}"):
             ExperimentConfig(algo="sgs", dims=(1.0, 1.0), params=SLOW,
                              ns=(10,), n_seeds=n_seeds)
+    for workers in (0, -3):
+        with pytest.raises(ValueError,
+                           match=f"workers must be >= 1, got {workers}"):
+            ExperimentConfig(algo="sgs", dims=(1.0, 1.0), params=SLOW,
+                             ns=(10,), n_seeds=1, workers=workers)
 
 
 @pytest.mark.parametrize("dims", [(float("nan"), 1.0), (1.0, -1.0),
