@@ -198,17 +198,7 @@ def test_bad_n_exits_with_one_line(argv, word):
     assert word in message.split()
 
 
-@pytest.mark.parametrize("code, printed", [
-    # ditsp loads only scipy's kd-tree extension, not scipy.spatial's
-    # __init__ with its linalg, special and qhull
-    ("import sys, ditsp, ditsp.cli; print([m for m in ('scipy.optimize', "
-     "'scipy.spatial', 'scipy.linalg', 'scipy.special') if m in sys.modules])",
-     "[]"),
-    # a later import of scipy.spatial reuses that one extension module
-    ("import ditsp.etsp, scipy.spatial; "
-     "print(ditsp.etsp.cKDTree is scipy.spatial.cKDTree)", "True")],
-    ids=["lean", "one-extension"])
-def test_import_leaves_scipy_optimize_unloaded(code, printed):
+def _run_fresh(code):
     # in a fresh interpreter: scipy.stats, which other tests import, loads
     # scipy.optimize and scipy.spatial into this one
     src = str(Path(ditsp.__file__).resolve().parents[1])
@@ -216,7 +206,22 @@ def test_import_leaves_scipy_optimize_unloaded(code, printed):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == printed
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # ditsp loads only scipy's kd-tree extension, not scipy.optimize nor
+    # scipy.spatial's __init__ with its linalg, special and qhull
+    assert _run_fresh(
+        "import sys, ditsp, ditsp.cli; print([m for m in ('scipy.optimize', "
+        "'scipy.spatial', 'scipy.linalg', 'scipy.special') "
+        "if m in sys.modules])") == "[]"
+
+
+def test_later_scipy_spatial_reuses_the_kd_tree_extension():
+    assert _run_fresh("import ditsp.etsp, scipy.spatial; "
+                      "print(ditsp.etsp.cKDTree is scipy.spatial.cKDTree)"
+                      ) == "True"
 
 
 @pytest.mark.parametrize("flag", [["--n=7"], ["--n", "7"]])
