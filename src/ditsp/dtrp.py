@@ -125,7 +125,8 @@ class DtrpStats:
     mean_queue_len: float       # whole-system time average, by Little's law
     served: int
     divergent: bool             # utilization >= 1; run_bta and run_cca size
-                                # cells to utilization <= x* < 1
+                                # cells to utilization <= x* < 1, as the
+                                # cell length's certificate guarantees
     utilization: float
     sweep_period: float
     cell_rate: float            # per-cell Poisson arrival rate
@@ -141,8 +142,10 @@ def _size_cell(config: DtrpConfig, x_target: float):
     of every row of every layer of the cylinder covering, one
     cell-enlargement cycle.  The length comes from
     :func:`~ditsp.geometry.solve_cell`; the period jumps where the grid
-    gains a row or a layer, so the utilization is a sawtooth in ``ell`` and
-    the solver returns one of its crossings of ``x_target``.  Returns
+    gains a row or a layer, so the utilization is a sawtooth in ``ell``;
+    the solver's bisection certifies one of its crossings of ``x_target``:
+    the utilization is at most ``x_target`` at ``ell`` and above it at the
+    next float.  Returns
     ``(ell, period, cell_rate, clamped)``; if even the largest admissible
     cell (ell = 4 rho) cannot reach the target, it is used as is and
     ``clamped`` is True.  A grid of that cell whose indices do not fit

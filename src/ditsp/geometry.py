@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_RTOL = 4 * math.ulp(1.0)
-
 
 def bead_width(rho: float, ell: float) -> float:
     """Maximum thickness of a bead of length ``ell`` for turn radius ``rho``.
@@ -364,9 +362,9 @@ def _check_dims(dims) -> tuple:
 
 
 # largest turn radius, over the workspace's longest side, whose cell
-# solve_cell looks for: _brentq bisects down from 4*rho, and on a unit
-# workspace its 100 iterations ran out from rho = 3e16 (n = 1e12) or 2e19
-# (n = 1e6) on; far above, the cell geometry overflows or underflows
+# solve_cell looks for: the bisection converges wherever the cell geometry
+# stays finite, on a unit workspace up to rho = 1e153, and from 1e154 on
+# rho**2 overflows; the bound keeps a wide margin below that
 MAX_TURN_RATIO = 2.0**50
 # smallest one: a cell is never longer than 4*rho, so below this a row along
 # the longest side alone has more than _MAX_REACH cells and no grid of the
@@ -384,12 +382,13 @@ def solve_cell(rho: float, dims, excess) -> tuple[float, bool]:
     negative for short cells.  When even the largest admissible cell is not
     enough, ``excess(4*rho) <= 0``, the result is ``(4*rho, True)``.
     Otherwise the bracket's low end starts at ``4e-9*rho`` and shrinks until
-    ``excess`` is negative there, and Brent's method (:func:`_brentq`, the
-    in-house port of scipy's ``brentq``) solves to a relative tolerance of
-    a few ulps.  Where ``excess`` involves a sweep period it is a sawtooth,
-    not monotone: the grid's row and layer counts are floors, so it crosses
-    zero several times close to the root, and Brent's method returns one of
-    those crossings.
+    ``excess`` is at most 0 there, and a bisection over the floats of the
+    bracket returns the one ``ell`` with the certificate ``excess(ell) <= 0
+    < excess(next float above ell)``.  Where ``excess`` involves a sweep
+    period it is a sawtooth, not monotone: the grid's row and layer counts
+    are floors, so it crosses zero several times close to the root, and the
+    certificate holds at the crossing found.  A NaN ``excess`` is a
+    ``ValueError`` that names ``ell``.
     """
     longest = _check_dims(dims)[0]
     if not rho <= MAX_TURN_RATIO * longest:
@@ -399,81 +398,36 @@ def solve_cell(rho: float, dims, excess) -> tuple[float, bool]:
         raise ValueError(f"cell indices past 2**62 do not fit int64: turn "
                          f"radius {rho} is less than 2**-64 times the "
                          f"workspace's longest side {longest}")
+
+    def positive(ell):
+        value = excess(ell)
+        if math.isnan(value):
+            raise ValueError(f"cell excess at ell = {ell} is NaN")
+        return value > 0
+
     hi = 4.0 * rho
-    if excess(hi) <= 0:
+    if not positive(hi):
         return hi, True
     lo = hi * 1e-9
-    while excess(lo) > 0:
+    while positive(lo):
         lo *= 1e-3
-    return _brentq(excess, lo, hi, xtol=1e-300, rtol=_RTOL), False
-
-
-def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Root of ``f`` in the bracket ``[a, b]`` by Brent's method (Brent 1973,
-    *Algorithms for Minimization Without Derivatives*), step for step as in
-    scipy's ``brentq`` (``brentq.c``), so that it returns the same float.
-
-    As there: ``xtol > 0`` and ``rtol >= 4*eps`` or a ``ValueError``; a NaN
-    value of ``f`` is a ``ValueError`` naming x, ``f(a)`` and ``f(b)`` of
-    the same sign a ``ValueError``, and 100 steps without convergence a
-    ``RuntimeError``.
-    """
-    if not xtol > 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if not rtol >= _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    # the bit patterns of positive floats, read as integers, are in the
+    # floats' order and count the floats between them: halve the bracket
+    # of patterns until its ends are neighbours, at most 63 halvings
+    word = memoryview(bytearray(8))
+    bits, probe = word.cast("q"), word.cast("d")
+    probe[0] = lo
+    a = bits[0]
+    probe[0] = hi
+    b = bits[0]
+    while b - a > 1:
+        bits[0] = m = (a + b) // 2
+        if positive(probe[0]):
+            b = m
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
+            a = m
+    bits[0] = a
+    return probe[0], False
 
 
 def ell_for_n(W: float, H: float, rho: float, n: int) -> tuple[float, bool]:

@@ -62,8 +62,8 @@ def stop_go_time(delta, params: VehicleParams):
     so an array gives each distance's float time bit for bit.
     """
     d = np.asarray(delta, dtype=float)
-    if (d < 0).any():
-        raise ValueError("distance must be nonnegative")
+    if not (np.isfinite(d).all() and (d >= 0).all()):
+        raise ValueError("distance must be finite and nonnegative")
     rho = params.turn_radius
     t = np.where(d <= rho, 2.0 * np.sqrt(d / params.r_ctr),
                  np.maximum(params.r_vel / params.r_ctr + d / params.r_vel,
@@ -77,6 +77,6 @@ def u_turn_length(rho: float) -> float:
     For turn radius ``rho`` the reversal with co-located endpoints takes
     ``(7/3) * pi * rho``.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     return (7.0 / 3.0) * math.pi * rho

@@ -323,17 +323,23 @@ PINNED_DTRP = {
     # time and queue length moved by -8.1e-12/-4.0e-12 (bta-20/40) and
     # +1.0e-13/+5.6e-14 (cca-20/40) relative, the Little residual by
     # +3.3e-7 (2D) and -1.8e-8 (3D); served counts and the trace's event
-    # kinds and counts did not move, its times by at most 8.1e-12 relative
+    # kinds and counts did not move, its times by at most 8.1e-12 relative.
+    # The same five were re-recorded when solve_cell's Brent steps gave way
+    # to a float bisection with a certificate: the sawtooth's crossing
+    # found moved, so the period moved by -6.9e-5/+1.7e-5 (bta-20/40) and
+    # +7.1e-6/-3.1e-6 (cca-20/40) relative, the mean system time and queue
+    # length with it; every utilization is now at most x* (cca-40's was 3
+    # ulps above it), and served counts did not move
     "cli-trace":
-        "f3988626795ec4fb9d5cbabc2e71312dd7034cc6e98b3ce9c73a2ef955b667d4",
+        "2f8cf4a87d4775eec961df95f0c38ee1fd440cae0187e1c92dcb3c1e88988916",
     "bta-20":
-        "4d019cbbbd1dc2c6578687cc1dc5eb0e2a9c756bdbef7000192c0c9cc922b3c7",
+        "98a6f6b2505e77e8588c19cf2f05286d1c5ff4862844461727b6fc69e83a8b9d",
     "bta-40":
-        "26b89ae4eee41e4d7e2f1e7c342ac07ca28bc6c0422d51e94c12c7bf73a0dc5a",
+        "2bff5b628c1c7e4acd013beef0c2e92d2e37191cc29a25d1e5bd248e065ff6cf",
     "cca-20":
-        "621c3d95546ef1536d5e27ca87c2a09a735c8e97e46234b6793182418c14282e",
+        "7fbe330ce6e71b83038ab25fd47c8f54b158e8af2238bfd489d4010f3d1efe56",
     "cca-40":
-        "7951ec29013a737120a3188c2173af285c80ca61c089d8b0bb10af8c092600db",
+        "bfbb6ff497e002aaff6af60e595a40f3693a6ff5111a621bccb5af26b76360a0",
     "late-early":
         "73614f8c569b86f47301e949a1b2341e9714869b8959bd4faeb76f002309326e",
     # re-recorded when divergence became utilization >= 1 alone: only the
@@ -351,6 +357,18 @@ PINNED_DTRP = {
 def test_dtrp_digest_pinned(name, tmp_path):
     got = hashlib.sha256(_pinned_case(name, tmp_path).encode()).hexdigest()
     assert got == PINNED_DTRP[name]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sized_cells_stay_at_or_below_x_star(dim):
+    # the cell length's certificate makes the realised utilization at most
+    # x*, never an ulp above it (Brent's steps landed above it at 2D
+    # lambda 5 and 150 and 3D lambda 2.5 and 40)
+    x_star = tune_policy(dim).x_star
+    for lam in (2.5, 5.0, 10.0, 20.0, 40.0, 150.0):
+        cfg = DtrpConfig(dims=(1.0,) * dim, params=SLOW, lam=lam)
+        _, period, rate, clamped = _size_cell(cfg, x_star)
+        assert not clamped and rate * period <= x_star
 
 
 def _block_case(name, tmp_path):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize  # only as the oracle of geometry._brentq
 
-from ditsp import bounds, geometry
+from ditsp import bounds, dtrp, geometry
 from ditsp.dtrp import DtrpConfig, _size_cell, predicted_system_time
 from ditsp.etsp import PointSet, worst_case_grid
 from ditsp.geometry import (MAX_TURN_RATIO, MIN_TURN_RATIO, BeadGrid, BeadSpec, CylinderGrid,
@@ -463,24 +462,24 @@ def test_cell_sizing_rejects_a_turn_radius_below_the_ratio():
 
 
 @pytest.fixture
-def brentq_oracle(monkeypatch):
-    """Route solve_cell's root finder through the port and through
-    ``scipy.optimize.brentq``; collect both roots of every solve."""
-    port, roots = geometry._brentq, []
+def cell_solves(monkeypatch):
+    """Record every solve_cell call, of the tours and of the DTRP alike, as
+    ``(rho, excess, (ell, clamped))``."""
+    solve, solves = geometry.solve_cell, []
 
-    def both(f, a, b, xtol, rtol):
-        roots.append((port(f, a, b, xtol=xtol, rtol=rtol),
-                      optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)))
-        return roots[-1][0]
+    def recorded(rho, dims, excess):
+        solves.append((rho, excess, solve(rho, dims, excess)))
+        return solves[-1][2]
 
-    monkeypatch.setattr(geometry, "_brentq", both)
-    return roots
+    monkeypatch.setattr(geometry, "solve_cell", recorded)
+    monkeypatch.setattr(dtrp, "solve_cell", recorded)
+    return solves
 
 
-def test_brentq_port_matches_scipy_on_the_cell_solves(brentq_oracle):
+def test_cell_length_has_a_certificate(cell_solves):
     # the excess of the tours' cells is smooth; the DTRP's is a sawtooth in
-    # ell with several crossings near the root, so the port must take the
-    # same steps to return the same one
+    # ell with several crossings near the root, and the certificate names
+    # one of them exactly
     for side in (1.0, 7.5, 1e-3, 1e4):
         for rho in (0.003 * side, 0.02 * side, 0.1 * side, 0.6 * side):
             for n in (2, 30, 200, 3000, 10**4, 10**5, 10**6, 10**9, 10**12):
@@ -492,46 +491,16 @@ def test_brentq_port_matches_scipy_on_the_cell_solves(brentq_oracle):
         for lam in (0.5, 2.0, 7.0, 20.0, 40.0, 150.0, 600.0):
             for x in (0.5, 0.7192235935955849, 0.8246094703208939):
                 _size_cell(DtrpConfig(dims=dims, params=params, lam=lam), x)
-    assert len(brentq_oracle) > 250
-    assert all(got == want for got, want in brentq_oracle)
+    assert sum(not clamped for *_, (_, clamped) in cell_solves) > 250
+    for rho, excess, (ell, clamped) in cell_solves:
+        if clamped:
+            assert ell == 4.0 * rho and excess(ell) <= 0
+        else:
+            assert excess(ell) <= 0 < excess(math.nextafter(ell, math.inf))
 
 
-@pytest.mark.parametrize("f, a, b", [
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0)])
-@pytest.mark.parametrize("xtol, rtol", [(2e-12, 4 * np.finfo(float).eps),
-                                        (1e-300, 4 * np.finfo(float).eps),
-                                        (1e-3, 1e-6)])
-def test_brentq_port_takes_scipys_steps_on_smooth_functions(f, a, b, xtol,
-                                                             rtol):
-    steps = ([], [])
-
-    def traced(k):
-        return lambda x: steps[k].append(x) or f(x)
-
-    got = geometry._brentq(traced(0), a, b, xtol=xtol, rtol=rtol)
-    assert got == optimize.brentq(traced(1), a, b, xtol=xtol, rtol=rtol)
-    assert steps[0] == steps[1]
-
-
-def test_brentq_port_fails_as_scipy_does():
-    eps4 = 4 * np.finfo(float).eps
-    cases = [
-        # NaN value: the message names x
-        (ValueError, lambda x: math.nan if x < 0.5 else x - 0.7, 0.1, 1.0,
-         {}),
-        # no sign change over the bracket
-        (ValueError, lambda x: x * x + 1.0, -1.0, 1.0, {}),
-        # a step, so mostly bisection: 100 halvings of 2e300 stay far above
-        # the tolerance
-        (RuntimeError, lambda x: 1.0 if x > 1e-250 else -1.0, -1e300, 1e300,
-         {"xtol": 1e-300}),
-        (ValueError, lambda x: x - 0.5, 0.0, 1.0, {"xtol": 0.0}),
-        (ValueError, lambda x: x - 0.5, 0.0, 1.0, {"rtol": eps4 / 2})]
-    for error, f, a, b, options in cases:
-        kw = {"xtol": 2e-12, "rtol": eps4} | options
-        with pytest.raises(error) as want:
-            optimize.brentq(f, a, b, **kw)
-        with pytest.raises(error) as got:
-            geometry._brentq(f, a, b, **kw)
-        assert str(got.value) == str(want.value)
+def test_cell_solver_names_a_nan_excess():
+    # NaN below ell = 1: the bracket's low end, 4e-9 * rho, is the first NaN
+    with pytest.raises(ValueError, match="^cell excess at ell = 4e-09 is NaN"):
+        geometry.solve_cell(1.0, (1.0, 1.0),
+                            lambda ell: ell - 2.0 if ell >= 1.0 else math.nan)

@@ -127,6 +127,11 @@ def test_zero_distance_and_negative():
     assert stop_go_time(0.0, params) == 0.0
     with pytest.raises(ValueError):
         stop_go_time(-1e-9, params)
+    # NaN and infinite distances, alone or in an array, have no time
+    for bad in (math.nan, math.inf, -math.inf, np.array([1.0, math.nan]),
+                np.array([math.inf, 0.5])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            stop_go_time(bad, params)
 
 
 def test_params_validation():
@@ -162,5 +167,6 @@ def test_turn_radius():
 
 def test_u_turn_length():
     assert u_turn_length(3.0) == pytest.approx(7.0 * math.pi)
-    with pytest.raises(ValueError):
-        u_turn_length(0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive"):
+            u_turn_length(bad)
