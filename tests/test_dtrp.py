@@ -71,8 +71,8 @@ def test_size_cell_hits_target_utilization():
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("lam", [5.0, 20.0, 40.0, 80.0])
 def test_size_cell_hits_tuned_utilization_to_ulps(dim, lam):
-    # the cell length is solved to a relative tolerance of a few ulps, so
-    # the utilization lands on x* although ell is of order 1e-3
+    # the cell length is solved to neighbouring floats, so the utilization
+    # lands on x* although ell is of order 1e-3
     x_star = tune_policy(dim).x_star
     cfg = DtrpConfig(dims=(1.0,) * dim, params=SLOW, lam=lam)
     _, period, rate, _ = _size_cell(cfg, x_star)
@@ -361,9 +361,8 @@ def test_dtrp_digest_pinned(name, tmp_path):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_sized_cells_stay_at_or_below_x_star(dim):
-    # the cell length's certificate makes the realised utilization at most
-    # x*, never an ulp above it (Brent's steps landed above it at 2D
-    # lambda 5 and 150 and 3D lambda 2.5 and 40)
+    # the cell length's certificate keeps the realised utilization at most
+    # x*, as DtrpStats.divergent states, not an ulp above it
     x_star = tune_policy(dim).x_star
     for lam in (2.5, 5.0, 10.0, 20.0, 40.0, 150.0):
         cfg = DtrpConfig(dims=(1.0,) * dim, params=SLOW, lam=lam)
