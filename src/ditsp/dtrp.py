@@ -420,17 +420,3 @@ def md1_system_time(lam: float, service: float) -> float:
         raise ValueError("need 0 <= lam * service < 1")
     return service * (1.0 + rho / (2.0 * (1.0 - rho)))
 
-
-def simulate_md1(lam: float, service: float, n_customers: int,
-                 seed: int = 0, warmup: int = 0) -> float:
-    """M/D/1 mean system time by the Lindley waiting-time recursion.
-
-    Uses the closed form of the recursion W_i = max(0, W_{i-1} + S - A_{i-1}):
-    with C the zero-prefixed cumulative sum of (S - A), W equals C minus its
-    running minimum.
-    """
-    rng = substream(seed, 11)
-    inter = rng.exponential(1.0 / lam, size=n_customers - 1)
-    c = np.concatenate([[0.0], np.cumsum(service - inter)])
-    waits = c - np.minimum.accumulate(c)
-    return float(waits[warmup:].mean() + service)

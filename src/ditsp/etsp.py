@@ -1,4 +1,4 @@
-"""Euclidean TSP tour ordering (nearest neighbor + 2-opt) and edge diagnostics."""
+"""Euclidean TSP tour ordering: nearest neighbor plus 2-opt."""
 
 from __future__ import annotations
 
@@ -91,8 +91,9 @@ class TourOrder:
 
 
 def _edge_lengths(points: np.ndarray, order: np.ndarray) -> np.ndarray:
-    nxt = np.roll(order, -1)
-    return np.linalg.norm(points[order] - points[nxt], axis=1)
+    """Length of each edge of the closed tour ``order``, by
+    :func:`row_distances`."""
+    return row_distances(points)(order, np.roll(order, -1))
 
 
 def row_distance(points: np.ndarray):
@@ -101,11 +102,11 @@ def row_distance(points: np.ndarray):
 
     The one point distance of 2-opt and the greedy cleanup: the
     per-dimension differences, squared and summed left to right, then
-    ``sqrt``, on Python floats.  It is bit-for-bit
-    ``np.linalg.norm(..., axis=1)``.  ``math.hypot`` and ``np.linalg.norm``
-    of a 1-D vector (a ``dot`` with fused multiply-adds) each differ from it
-    in the last bit on many pairs.  Swapping ``u`` and ``v`` negates each
-    difference and leaves its square unchanged.
+    ``sqrt``, on Python floats.  It is bit-for-bit :func:`row_distances`,
+    which gives the tour's edge lengths.  ``math.hypot`` and
+    ``np.linalg.norm`` of a 1-D vector (a ``dot`` with fused multiply-adds)
+    each differ from it in the last bit on many pairs.  Swapping ``u`` and
+    ``v`` negates each difference and leaves its square unchanged.
     """
     if points.shape[1] == 2:
         xs, ys = points.T.tolist()
@@ -127,7 +128,8 @@ def row_distance(points: np.ndarray):
 
 def row_distances(points: np.ndarray):
     """``dists(u, rows)``, the distances from row ``u`` to each row of the
-    integer array ``rows`` of an (n, 2) or (n, 3) array, as a float array.
+    integer array ``rows`` of an (n, 2) or (n, 3) array, as a float array;
+    a ``u`` as long as ``rows`` pairs them row by row.
 
     The vectorised :func:`row_distance`, bit-equal to it pair for pair: the
     same per-dimension differences (negated, which leaves each square
@@ -267,8 +269,8 @@ def _two_opt(points: np.ndarray, order: np.ndarray, neighbours):
     points show this).
 
     Every distance is :func:`row_distance`'s, bit-for-bit the
-    ``np.linalg.norm(..., axis=...)`` of ``_edge_lengths``, so move tests and
-    edge lengths agree.  Exact distance ties are scanned in kd-tree order.
+    :func:`row_distances` of ``_edge_lengths``, so move tests and edge
+    lengths agree.  Exact distance ties are scanned in kd-tree order.
     """
     n = len(order)
     if n < 4:
@@ -377,13 +379,6 @@ def etsp_tour(pset: PointSet, seed: int = 0) -> TourOrder:
     return TourOrder(order=order, edge_lengths=_edge_lengths(points, order))
 
 
-def long_edge_count(tour: TourOrder, eta: float) -> int:
-    """Number of tour edges strictly longer than ``eta``."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return int(np.count_nonzero(tour.edge_lengths > eta))
-
-
 def worst_case_grid(n: int, d: int, W: float, H: float, D: float = math.nan) -> PointSet:
     """Regular grid point set whose pairwise spacing scales like n**(-1/d).
 
@@ -410,33 +405,3 @@ def math_ceil_root(n: int, d: int) -> int:
     while (k - 1) ** d >= n:
         k -= 1
     return k
-
-
-def held_karp_length(points: np.ndarray) -> float:
-    """Exact optimal closed-tour length by dynamic programming (n <= 12)."""
-    n = len(points)
-    if n == 1:
-        return 0.0
-    if n > 12:
-        raise ValueError("exact solver limited to n <= 12")
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    full = 1 << (n - 1)
-    dp = np.full((full, n - 1), np.inf)
-    for j in range(n - 1):
-        dp[1 << j, j] = dist[n - 1, j]
-    for mask in range(full):
-        for j in range(n - 1):
-            cur = dp[mask, j]
-            if not np.isfinite(cur):
-                continue
-            for k in range(n - 1):
-                if mask & (1 << k):
-                    continue
-                nm = mask | (1 << k)
-                cand = cur + dist[j, k]
-                if cand < dp[nm, k]:
-                    dp[nm, k] = cand
-    best = np.inf
-    for j in range(n - 1):
-        best = min(best, dp[full - 1, j] + dist[j, n - 1])
-    return float(best)

@@ -97,22 +97,6 @@ def cylinder_volume(spec: CylinderSpec) -> float:
     return math.pi * spec.radius**2 * (spec.ell / 2.0)
 
 
-def bead_contains(spec: BeadSpec, center, point) -> bool:
-    """True iff ``point`` lies in the bead centered at ``center``, axis along +x."""
-    dx = abs(point[0] - center[0])
-    dy = abs(point[1] - center[1])
-    return dx / (spec.ell / 2.0) + dy / (spec.w / 2.0) <= 1.0 + 1e-12
-
-
-def sample_in_bead(spec: BeadSpec, center, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform samples inside a bead (linear image of the unit square)."""
-    u = rng.uniform(-1.0, 1.0, size=n)
-    v = rng.uniform(-1.0, 1.0, size=n)
-    x = center[0] + (spec.ell / 4.0) * (u + v)
-    y = center[1] + (spec.w / 4.0) * (u - v)
-    return np.column_stack([x, y])
-
-
 class BeadGrid:
     """Periodic bead tiling of the plane, clipped to the rectangle [0,W]x[0,H].
 
@@ -274,17 +258,6 @@ class CylinderGrid:
         t -= layer // 2
         return layer, np.negative(t, out=t), col
 
-    def covers(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask: point lies within its owning cylinder."""
-        pts = np.atleast_2d(points)
-        k, r, c = self.cell_index(pts)
-        y, z = self.axis_center(k, r)
-        d2 = (pts[:, 1] - y) ** 2 + (pts[:, 2] - z) ** 2
-        in_radius = d2 <= self.spec.radius**2 * (1.0 + 1e-9)
-        x0 = c * self.spec.ell
-        in_length = (pts[:, 0] >= x0 - 1e-12) & (pts[:, 0] <= x0 + self.spec.ell + 1e-12)
-        return in_radius & in_length
-
 
 # sub-phase aggregation exponents (cols, rows, layers): meta-cylinders of
 # 1, 2, 4, 8, 16 cells
@@ -326,16 +299,6 @@ def _check_reach(grid, cause: str | None = None) -> None:
                           "the workspace")
         raise ValueError(f"cell indices up to {grid.reach:.4g} do not fit "
                          f"int64: {cause}")
-
-
-def ell_asymptotic_2d(W: float, H: float, rho: float, n: int) -> float:
-    """Large-n approximation ``2*(rho*W*H/n)**(1/3)`` of the 2D cell length."""
-    return 2.0 * (rho * W * H / n) ** (1.0 / 3.0)
-
-
-def ell_asymptotic_3d(W: float, H: float, D: float, rho: float, n: int) -> float:
-    """Large-n approximation ``2*(16*rho**2*W*H*D/(pi*n))**(1/5)``."""
-    return 2.0 * (16.0 * rho**2 * W * H * D / (math.pi * n)) ** (1.0 / 5.0)
 
 
 def _check_n(n: int):

@@ -8,13 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import sample_in_bead, simulate_md1
 
 from ditsp.bounds import dtrp_lower, dtrp_upper, tour_lower_2d, tour_upper_2d
-from ditsp.dtrp import (DtrpConfig, md1_system_time, run_bta, simulate_md1,
-                        tune_policy)
+from ditsp.dtrp import DtrpConfig, md1_system_time, run_bta, tune_policy
 from ditsp.etsp import PointSet
-from ditsp.geometry import (BeadGrid, BeadSpec, bead_area, bead_width,
-                            ell_for_n, sample_in_bead)
+from ditsp.geometry import BeadGrid, BeadSpec, bead_area, bead_width, ell_for_n
 from ditsp.harness import (ExperimentConfig, fit_experiment, run_experiment,
                            write_tour_csv)
 from ditsp.planners import rec_bta, stop_go_stop

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import simulate_md1
 from scipy import stats as sstats
 
 from ditsp import dtrp
 from ditsp.cli import main
 from ditsp.dtrp import (DtrpConfig, X_FACTOR_3D, _simulate_cells, _size_cell,
                         md1_system_time, predicted_system_time, run_bta,
-                        run_cca, simulate_md1, tune_policy)
+                        run_cca, tune_policy)
 from ditsp.geometry import CylinderGrid, CylinderSpec, bead_width
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams

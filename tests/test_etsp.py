@@ -1,4 +1,4 @@
-"""Tour heuristic quality and diagnostics against exact small-case solutions."""
+"""Tour heuristic quality against exact small-case solutions and brute force."""
 
 import hashlib
 
@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_force_walk, held_karp_length
 from scipy.spatial import cKDTree
 
 import ditsp.etsp
-from ditsp.etsp import (_KD_MARGIN, PointSet, _reverse_arc, _two_opt,
-                        etsp_tour, held_karp_length, kd_neighbours,
-                        long_edge_count, nearest_walk, row_distance,
-                        row_distances, worst_case_grid)
+from ditsp.etsp import (_KD_MARGIN, PointSet, _edge_lengths, _reverse_arc,
+                        _two_opt, etsp_tour, kd_neighbours, nearest_walk,
+                        row_distance, row_distances, worst_case_grid)
 from ditsp.rng import substream
 
 
@@ -78,15 +78,6 @@ def test_two_opt_no_crossing_improvement():
                                     axis=1).sum())
     tour = etsp_tour(PointSet(points=pts), seed=0)
     assert tour.length == pytest.approx(hull_len, rel=1e-9)
-
-
-def test_long_edge_count():
-    pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 1.0], [0.0, 1.0]])
-    tour = etsp_tour(PointSet(points=pts), seed=0)
-    assert long_edge_count(tour, 0.5) == 2
-    assert long_edge_count(tour, 2.0) == 0
-    with pytest.raises(ValueError):
-        long_edge_count(tour, 0.0)
 
 
 def test_worst_case_grid_spacing():
@@ -165,21 +156,6 @@ def test_tour_digest_pinned(name):
     assert got.hexdigest() == digest
 
 
-def _brute_force_walk(points, start):
-    """Nearest-neighbour walk by full distance scans (no kd-tree)."""
-    n = len(points)
-    visited = np.zeros(n, dtype=bool)
-    order = [start]
-    visited[start] = True
-    for _ in range(1, n):
-        d = np.linalg.norm(points - points[order[-1]], axis=1)
-        d[visited] = np.inf
-        nxt = int(np.argmin(d))
-        order.append(nxt)
-        visited[nxt] = True
-    return np.array(order)
-
-
 class _CountingTree(cKDTree):
     """kd-tree that records every tree built, the ``k`` of every query, the
     number of batched (2-D) queries and the ``k`` of every single-point
@@ -244,9 +220,9 @@ def _walks_match_brute_force():
     for pts in inputs:
         for start in (0, len(pts) // 2, len(pts) - 1):
             lengths, got = _walk(pts, start, kd_neighbours(pts))
-            assert np.array_equal(got, _brute_force_walk(pts, start))
-            legs = np.linalg.norm(pts[got[1:]] - pts[got[:-1]], axis=1)
-            assert lengths == legs.tolist()
+            want_order, want_lengths = brute_force_walk(pts, pts[start], start)
+            assert got.tolist() == [start] + want_order
+            assert lengths == want_lengths
     return _CountingTree.single
 
 
@@ -289,9 +265,9 @@ def test_nearest_walk_property_matches_brute_force(scan_max, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ditsp.etsp, "_SCAN_UNVISITED_MAX", scan_max)
         lengths, got = _walk(pts, start, kd_neighbours(pts))
-    assert np.array_equal(got, _brute_force_walk(pts, start))
-    legs = np.linalg.norm(pts[got[1:]] - pts[got[:-1]], axis=1)
-    assert lengths == legs.tolist()
+    want_order, want_lengths = brute_force_walk(pts, pts[start], start)
+    assert got.tolist() == [start] + want_order
+    assert lengths == want_lengths
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -321,6 +297,9 @@ def test_row_distances_bit_equal_to_row_distance(d, scale):
     for u in range(0, 500, 7):
         want = [dist(u, v) for v in rows.tolist()]
         assert dists(u, rows).tolist() == want
+    # rows paired with rows: the tour's edge lengths are the axis-1 norm
+    want = np.linalg.norm(pts[rows] - pts[np.roll(rows, -1)], axis=1)
+    assert _edge_lengths(pts, rows).tolist() == want.tolist()
 
 
 def _improving_moves(points, tour):

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bead_contains, covers, sample_in_bead
 
 from ditsp import bounds, dtrp, geometry
 from ditsp.dtrp import DtrpConfig, _size_cell, predicted_system_time
 from ditsp.etsp import PointSet, worst_case_grid
 from ditsp.geometry import (MAX_TURN_RATIO, MIN_TURN_RATIO, BeadGrid, BeadSpec, CylinderGrid,
-                            CylinderSpec, bead_area, bead_contains, bead_width,
-                            cylinder_meta_index, cylinder_volume,
-                            ell_asymptotic_2d, ell_asymptotic_3d, ell_for_n,
-                            ell_for_n_3d, sample_in_bead)
+                            CylinderSpec, bead_area, bead_width, cylinder_meta_index,
+                            cylinder_volume, ell_for_n, ell_for_n_3d)
 from ditsp.harness import ExperimentConfig
 from ditsp.planners import rec_bta, rec_cca
 from ditsp.rng import substream
@@ -197,7 +196,7 @@ def test_cylinder_grid_covers_box():
     grid = CylinderGrid(1.0, 0.8, 0.6, spec)
     rng = substream(7, 5)
     pts = rng.uniform(size=(10**5, 3)) * [1.0, 0.8, 0.6]
-    assert np.all(grid.covers(pts))
+    assert np.all(covers(grid, pts))
 
 
 def _nearest_axis_scan(grid, pts):
@@ -267,10 +266,9 @@ def test_ell_for_n_solves_area_equation():
         assert not clamped
         w = bead_width(0.01, ell)
         assert ell * w / 2.0 == pytest.approx(1.0 / (2.0 * n), rel=1e-10)
-    # matches the asymptotic form at large n
+    # matches the asymptotic form 2*(rho*W*H/n)**(1/3) at large n
     ell, _ = ell_for_n(1.0, 1.0, 0.01, 10**6)
-    assert ell == pytest.approx(ell_asymptotic_2d(1.0, 1.0, 0.01, 10**6),
-                                rel=1e-3)
+    assert ell == pytest.approx(2.0 * (0.01 / 10**6) ** (1.0 / 3.0), rel=1e-3)
 
 
 def test_ell_for_n_clamps_small_n():
@@ -285,9 +283,10 @@ def test_ell_for_n_3d_solves_volume_equation():
         spec = CylinderSpec.create(0.25, ell)
         assert cylinder_volume(spec) == pytest.approx(1.0 / (4.0 * n),
                                                       rel=1e-10)
+    # and the asymptotic form 2*(16*rho**2*W*H*D/(pi*n))**(1/5)
     ell, _ = ell_for_n_3d(1.0, 1.0, 1.0, 0.25, 10**7)
     assert ell == pytest.approx(
-        ell_asymptotic_3d(1.0, 1.0, 1.0, 0.25, 10**7), rel=2e-2)
+        2.0 * (16.0 * 0.25**2 / (math.pi * 10**7)) ** (1.0 / 5.0), rel=2e-2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from oracles import brute_force_walk
 
 from ditsp.etsp import PointSet
 from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
@@ -329,27 +330,6 @@ def test_sweep_digest_pinned(name):
     assert hashlib.sha256(order.tobytes()).hexdigest() == order_digest
 
 
-# -- oracles -----------------------------------------------------------------
-
-def _brute_force_cleanup(points, start):
-    """Greedy walk by full distance scans: the nearest remaining point by the
-    axis-1 norm, ties to the lowest index; each leg is charged the distance
-    that chose it."""
-    remaining = np.ones(len(points), dtype=bool)
-    pos = np.asarray(start, dtype=float)
-    order, lengths = [], []
-    for _ in range(len(points)):
-        idx = np.flatnonzero(remaining)
-        dists = np.linalg.norm(points[idx] - pos, axis=1)
-        k = int(np.argmin(dists))
-        j = idx[k]
-        lengths.append(float(dists[k]))
-        order.append(j)
-        remaining[j] = False
-        pos = points[j]
-    return order, lengths
-
-
 def _cleanup_case(name, d):
     rng = substream(41, d, len(name))
     if name == "uniform":
@@ -379,7 +359,7 @@ def test_greedy_cleanup_matches_brute_force(name, d):
     pts = _cleanup_case(name, d)
     for start in (np.zeros(d), pts[7].copy(), np.full(d, 0.5)):
         lengths, order = greedy_cleanup(pts, start)
-        want_order, want_lengths = _brute_force_cleanup(pts, start)
+        want_order, want_lengths = brute_force_walk(pts, start)
         assert order.tolist() == want_order
         assert lengths == want_lengths
 
@@ -392,7 +372,7 @@ def test_greedy_cleanup_small_grids_match_brute_force(cells, d):
     # integer coordinates: many exact ties and duplicates
     pts = np.array([c + (c[0],) * (d - 2) for c in cells], dtype=float)
     lengths, order = greedy_cleanup(pts, np.zeros(d))
-    want_order, want_lengths = _brute_force_cleanup(pts, np.zeros(d))
+    want_order, want_lengths = brute_force_walk(pts, np.zeros(d))
     assert order.tolist() == want_order
     assert lengths == want_lengths
 
