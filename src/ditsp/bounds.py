@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ditsp.geometry import CYCLE_FACTOR_3D, _check_dims, _check_n
+from ditsp.geometry import SWEEP_BUDGET_3D, _check_dims, _check_n
 from ditsp.vehicle import VehicleParams, u_turn_length
 
 # 3D dynamic lower-bound coefficient: printed value and the value obtained by
@@ -90,9 +90,9 @@ def tour_upper_2d(W: float, H: float, params: VehicleParams, n: int) -> float:
 def tour_upper_3d(W: float, H: float, D: float, params: VehicleParams, n: int) -> float:
     """Recursive cylinder-covering total-time upper bound with coefficient
     (3328/15) (pi/16)^(4/5) / r_vel-normalization (approximately 61), where
-    3328 = 1024 * CYCLE_FACTOR_3D is the five-sub-phase sweep budget."""
+    3328 = ``geometry.SWEEP_BUDGET_3D`` is the five-sub-phase sweep budget."""
     _check_n(n)
-    coeff = (1024.0 * CYCLE_FACTOR_3D / 15.0) * (math.pi / 16.0) ** (4 / 5)
+    coeff = (SWEEP_BUDGET_3D / 15.0) * (math.pi / 16.0) ** (4 / 5)
     return (coeff * _scaled(1.0, (W, H, D), params) ** (1 / 5)
             * turn_penalty(W, params) * n ** (4 / 5))
 

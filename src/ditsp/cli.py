@@ -2,7 +2,9 @@
 
 Global flags ``--seed``, ``--out`` and ``--format`` apply to every
 subcommand; ``--config FILE`` loads a JSON object whose keys mirror the
-flags (explicit flags win).  Exit status is 0 iff every assertion the
+flags (explicit flags win).  ``--format`` chooses how ``tour`` and ``dtrp``
+write their rows and how ``scaling --out`` writes its trial rows;
+``bounds``, ``tile`` and the scaling fit always print JSON objects.  Exit status is 0 iff every assertion the
 invoked command makes holds (e.g. stability for ``dtrp``, slope windows for
 ``scaling`` when requested).
 """
@@ -19,7 +21,7 @@ from ditsp.bounds import bound_set
 from ditsp.dtrp import DtrpConfig, run_bta, run_cca
 from ditsp.geometry import BeadGrid, BeadSpec, CylinderGrid, CylinderSpec
 from ditsp.harness import (ExperimentConfig, TOUR_CSV_FIELDS, fit_experiment,
-                           run_experiment, write_tour_csv)
+                           run_experiment)
 from ditsp.vehicle import VehicleParams
 
 DTRP_CSV_FIELDS = ("policy", "lambda", "seed", "mean_system_time",
@@ -153,7 +155,8 @@ def cmd_scaling(args) -> int:
                       master_seed=args.seed, workers=args.workers)
     results = _checked(args, run_experiment, config)
     if args.out:
-        write_tour_csv(results, args.out)
+        _emit([astuple(r) for r in results], TOUR_CSV_FIELDS, args.format,
+              args.out)
     fit = _checked(args, fit_experiment, results)
     report = {"algo": config.algo, "slope": fit.slope, "intercept": fit.intercept,
               "r_squared": fit.r_squared, "n_points": fit.n_points}

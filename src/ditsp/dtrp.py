@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ditsp.bounds import _dim, heavy_load
-from ditsp.geometry import (CYCLE_FACTOR_3D, BeadGrid, BeadSpec, CylinderGrid,
-                            CylinderSpec, _check_dims, _check_reach,
-                            bead_area, cylinder_volume, solve_cell)
-from ditsp.planners import bead_sweep, cylinder_sweep
+from ditsp.geometry import (CYCLE_FACTOR_3D, SWEEP_BUDGET_3D, BeadGrid,
+                            BeadSpec, CylinderGrid, CylinderSpec, _check_dims,
+                            _check_reach, bead_area, bead_sweep,
+                            cylinder_sweep, cylinder_volume, solve_cell)
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
 
@@ -72,7 +72,7 @@ def tune_policy(dim: int) -> PolicyTuning:
     # utilization per unit lam*ell/a, the sweep budget, the printed constant
     x_factor, budget, c_printed = {
         2: (1.0, 16.0, C_PRINTED_2D),
-        3: (X_FACTOR_3D, 1024.0 * CYCLE_FACTOR_3D, C_PRINTED_3D),  # 3328
+        3: (X_FACTOR_3D, SWEEP_BUDGET_3D, C_PRINTED_3D),
     }[dim]
     p = 2 * dim - 2
     g = lambda x: x ** (-p) * md1_system_time(x, 1.0)

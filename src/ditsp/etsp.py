@@ -6,7 +6,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,18 +76,6 @@ class PointSet:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-
-@dataclass
-class TourOrder:
-    """Closed tour: permutation of point indices plus per-edge lengths."""
-
-    order: np.ndarray
-    edge_lengths: np.ndarray = field(default=None)
-
-    @property
-    def length(self) -> float:
-        return float(self.edge_lengths.sum())
 
 
 def _edge_lengths(points: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -358,12 +346,13 @@ def _reverse_arc(tour: np.ndarray, pos: np.ndarray, i: int, j: int):
         pos[tour[idx]] = idx
 
 
-def etsp_tour(pset: PointSet, seed: int = 0) -> TourOrder:
+def etsp_tour(pset: PointSet, seed: int = 0) -> np.ndarray:
     """Heuristic closed tour: nearest-neighbor construction plus 2-opt cleanup.
 
-    Deterministic given ``seed``, which selects the start of the
-    construction, a :func:`nearest_walk`.
-    The 2-opt pass (``_two_opt``) runs first-improvement until no anchor is
+    Returns the closed order, a permutation of the point indices as an int64
+    array; :func:`_edge_lengths` gives its edges.  Deterministic given
+    ``seed``, which selects the start of the construction, a
+    :func:`nearest_walk`.  The 2-opt pass (``_two_opt``) runs first-improvement until no anchor is
     left to try or until ``50 * n`` moves; its scans see every candidate for
     ``n <= _GROW_ROWS_LIMIT`` and each city's ``_KNN`` nearest neighbours
     above that.  The walk and 2-opt share one :func:`kd_neighbours` source:
@@ -375,33 +364,25 @@ def etsp_tour(pset: PointSet, seed: int = 0) -> TourOrder:
     start = int(rng.integers(n))
     neighbours = kd_neighbours(points)
     order = np.append(start, nearest_walk(points, start, neighbours)[1])
-    order = _two_opt(points, order, neighbours)
-    return TourOrder(order=order, edge_lengths=_edge_lengths(points, order))
+    return _two_opt(points, order, neighbours)
 
 
 def worst_case_grid(n: int, d: int, W: float, H: float, D: float = math.nan) -> PointSet:
     """Regular grid point set whose pairwise spacing scales like n**(-1/d).
 
-    Uses ``k = ceil(n**(1/d))`` cells per side with points at cell centers
-    (pitch = side/k), clipped to the first ``n`` points.  The sides may come
-    in any order; sorted in descending order, they must pass
-    :func:`~ditsp.geometry._check_dims`.  ``D`` is needed for ``d = 3``: its
-    default, NaN, fails that check.
+    Uses ``k = ceil(n**(1/d))`` cells per side, the least integer with
+    ``k**d >= n``, with points at cell centers (pitch = side/k), clipped to
+    the first ``n`` points.  The sides may come in any order; sorted in
+    descending order, they must pass :func:`~ditsp.geometry._check_dims`.
+    ``D`` is needed for ``d = 3``: its default, NaN, fails that check.
     """
     _check_n(n)
     sides = [W, H] if d == 2 else [W, H, D]
     _check_dims(sorted(sides, reverse=True))
-    k = int(math_ceil_root(n, d))
+    k = 1
+    while k**d < n:
+        k += 1
     axes = [(np.arange(k) + 0.5) * (s / k) for s in sides]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])[:n]
     return PointSet(points=pts)
-
-
-def math_ceil_root(n: int, d: int) -> int:
-    k = int(round(n ** (1.0 / d)))
-    while k**d < n:
-        k += 1
-    while (k - 1) ** d >= n:
-        k -= 1
-    return k

@@ -14,6 +14,12 @@ its axis: radius ``w/4``, length ``ell``, and nominal cell volume
 ``pi*(w/4)**2*(ell/2)``.  Cylinders cover 3-space in rows (end to end along
 x), rows stacked at pitch ``w/2`` in y, and layers stacked at pitch ``w/4``
 in z with alternate layers offset by one radius in y.
+
+The sweeps of both grids are defined here too, once per grid type: a
+(sub-)phase sweep is one :class:`Sweep` (row passes, heading-reversal
+u-turns, layer turns and the tour closing), given by :func:`bead_sweep` and
+:func:`cylinder_sweep`.  The recursive tours charge them per phase and the
+DTRP policies take their sweep periods from them.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ditsp.vehicle import u_turn_length
 
 
 def bead_width(rho: float, ell: float) -> float:
@@ -173,11 +181,6 @@ class BeadGrid:
         return tuple(_shifted(k, e) for k, e in
                      zip((row, col), bead_meta_exponents(phase)))
 
-    def meta_row_count(self, phase: int) -> int:
-        """Number of meta-rows intersecting the rectangle at the given phase."""
-        vr, _ = bead_meta_exponents(phase)
-        return (self.row_max >> vr) - (self.row_min >> vr) + 1
-
 
 def bead_meta_exponents(phase: int) -> tuple[int, int]:
     """Aggregation exponents ``(rows, cols)`` of bead phase ``phase``: its
@@ -266,6 +269,8 @@ SUBPHASE_EXPONENTS = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 1, 1))
 # first sub-phase: aggregating 2**b rows and 2**c layers divides the rows
 # swept by 2**(b+c), so 1 + 1 + 1/2 + 1/2 + 1/4 = 3.25 (3328/1024)
 CYCLE_FACTOR_3D = sum(2.0 ** -(b + c) for _, b, c in SUBPHASE_EXPONENTS)
+# the five-sub-phase sweep budget of the 3D tour bound and the cca policy
+SWEEP_BUDGET_3D = 1024.0 * CYCLE_FACTOR_3D  # 3328
 
 
 def cylinder_meta_index(subphase: int, layer, row, col):
@@ -283,6 +288,59 @@ def _shifted(key, exponent: int):
     """Cell indices ``key`` aggregated ``2**exponent`` to one; ``key``
     itself when ``exponent`` is 0."""
     return key if exponent == 0 else np.asarray(key) >> exponent
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One (sub-)phase sweep: ``n_rows`` passes, each ended by a u-turn,
+    ``n_layers`` layer turns and a closing leg."""
+
+    n_rows: int
+    pass_len: float
+    turn_len: float
+    closing_len: float
+    n_layers: int = 0
+    layer_turn_len: float = 0.0
+
+    @property
+    def length(self) -> float:
+        return (self.n_rows * (self.pass_len + self.turn_len)
+                + self.n_layers * self.layer_turn_len + self.closing_len)
+
+
+def bead_sweep(grid: BeadGrid, phase: int) -> Sweep:
+    """Sweep of every meta-row of a bead tiling at recursive phase ``phase``,
+    each meta-row intersecting the rectangle."""
+    # passes reach one meta-cell past each end; u-turns step a meta-row pitch
+    vr, vc = bead_meta_exponents(phase)
+    spec = grid.spec
+    meta_width = (1 << vc) * spec.ell
+    return Sweep(
+        n_rows=(grid.row_max >> vr) - (grid.row_min >> vr) + 1,
+        pass_len=grid.W + 2.0 * meta_width,
+        turn_len=u_turn_length(spec.rho) + (1 << vr) * spec.w / 2.0,
+        closing_len=grid.W + grid.H + 2.0 * math.pi * spec.rho + 2.0 * meta_width)
+
+
+def cylinder_sweep(grid: CylinderGrid, sub: int = 1, n_rows: int | None = None,
+                   n_layers: int | None = None) -> Sweep:
+    """Sweep of sub-phase ``sub`` over ``n_rows`` (layer, meta-row) pairs in
+    ``n_layers`` layers of a cylinder covering; by default every row of
+    every layer."""
+    # a row runs the width out and back, one meta-cylinder past each end;
+    # u-turns step a meta-row pitch, layer turns a meta-layer pitch
+    a, b, c = SUBPHASE_EXPONENTS[sub - 1]
+    n_rows = grid.n_rows * grid.n_layers if n_rows is None else n_rows
+    n_layers = grid.n_layers if n_layers is None else n_layers
+    spec = grid.spec
+    ell_m = (1 << a) * spec.ell
+    uturn = u_turn_length(spec.rho)
+    return Sweep(
+        n_rows=n_rows,
+        pass_len=2.0 * (grid.W + 2.0 * ell_m) + uturn + ell_m / 2.0,
+        turn_len=uturn + (1 << b) * spec.w / 2.0,
+        closing_len=grid.W + grid.H + grid.D + 2.0 * math.pi * spec.rho + 2.0 * ell_m,
+        n_layers=n_layers, layer_turn_len=uturn + (1 << c) * spec.w / 4.0)
 
 
 # indices past this do not fit int64 once lookups add a few cells

@@ -5,12 +5,13 @@ The recursive planners produce *accounted* tours rather than synthesized
 curves: a tour is one ``(length, duration)`` row per (sub-)phase sweep, whose
 length is the sweep's closed form (row passes, heading-reversal u-turns, tour
 closing), and one row per stop-go leg of the cleanup.  Each (sub-)phase is
-one :class:`Sweep`, defined once per grid type by :func:`bead_sweep` and
-:func:`cylinder_sweep`; the DTRP policies take their sweep periods from the
-same two functions.  Bead sweeps cover every meta-row intersecting the
-workspace, which keeps the per-phase lengths deterministic and preserves the
-even/odd phase-length relations used by the analysis; cylinder sweeps skip
-empty meta-rows.  Within any cell, targets are always served oldest first.
+one :class:`~ditsp.geometry.Sweep`, defined once per grid type by
+:func:`~ditsp.geometry.bead_sweep` and :func:`~ditsp.geometry.cylinder_sweep`;
+the DTRP policies take their sweep periods from the same two functions.
+Bead sweeps cover every meta-row intersecting the workspace, which keeps the
+per-phase lengths deterministic and preserves the even/odd phase-length
+relations used by the analysis; cylinder sweeps skip empty meta-rows.  Within
+any cell, targets are always served oldest first.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ditsp.etsp import PointSet, etsp_tour, kd_neighbours, nearest_walk
+from ditsp.etsp import (PointSet, _edge_lengths, etsp_tour, kd_neighbours,
+                        nearest_walk)
 from ditsp.geometry import (
     SUBPHASE_EXPONENTS,
     BeadGrid,
@@ -28,12 +30,13 @@ from ditsp.geometry import (
     CylinderGrid,
     CylinderSpec,
     _check_dims,
-    bead_meta_exponents,
+    bead_sweep,
     cylinder_meta_index,
+    cylinder_sweep,
     ell_for_n,
     ell_for_n_3d,
 )
-from ditsp.vehicle import VehicleParams, stop_go_time, u_turn_length
+from ditsp.vehicle import VehicleParams, stop_go_time
 
 
 @dataclass
@@ -72,11 +75,9 @@ class PhaseReport:
 
 def stop_go_stop(pset: PointSet, params: VehicleParams, seed: int = 0) -> Tour:
     """Visit the heuristic ETSP order, coming to rest at every target."""
-    tour = etsp_tour(pset, seed=seed)
-    if pset.n == 1:
-        return Tour(visit_order=tour.order)
-    return Tour(segments=_leg_rows(tour.edge_lengths, params),
-                visit_order=tour.order)
+    order = etsp_tour(pset, seed=seed)
+    return Tour(segments=_leg_rows(_edge_lengths(pset.points, order), params),
+                visit_order=order)
 
 
 def _leg_rows(lengths, params: VehicleParams) -> np.ndarray:
@@ -205,58 +206,6 @@ def _cleanup_tail(pset, leftover_idx, reports, visit_chunks, params) -> Tour:
     return Tour(segments=np.vstack((np.reshape(rows, (-1, 2)),
                                     _leg_rows(legs, params))),
                 visit_order=np.concatenate(visit_chunks))
-
-
-@dataclass(frozen=True)
-class Sweep:
-    """One (sub-)phase sweep: ``n_rows`` passes, each ended by a u-turn,
-    ``n_layers`` layer turns and a closing leg."""
-
-    n_rows: int
-    pass_len: float
-    turn_len: float
-    closing_len: float
-    n_layers: int = 0
-    layer_turn_len: float = 0.0
-
-    @property
-    def length(self) -> float:
-        return (self.n_rows * (self.pass_len + self.turn_len)
-                + self.n_layers * self.layer_turn_len + self.closing_len)
-
-
-def bead_sweep(grid: BeadGrid, phase: int) -> Sweep:
-    """Sweep of every meta-row of a bead tiling at recursive phase ``phase``."""
-    # passes reach one meta-cell past each end; u-turns step a meta-row pitch
-    vr, vc = bead_meta_exponents(phase)
-    spec = grid.spec
-    meta_width = (1 << vc) * spec.ell
-    return Sweep(
-        n_rows=grid.meta_row_count(phase),
-        pass_len=grid.W + 2.0 * meta_width,
-        turn_len=u_turn_length(spec.rho) + (1 << vr) * spec.w / 2.0,
-        closing_len=grid.W + grid.H + 2.0 * math.pi * spec.rho + 2.0 * meta_width)
-
-
-def cylinder_sweep(grid: CylinderGrid, sub: int = 1, n_rows: int | None = None,
-                   n_layers: int | None = None) -> Sweep:
-    """Sweep of sub-phase ``sub`` over ``n_rows`` (layer, meta-row) pairs in
-    ``n_layers`` layers of a cylinder covering; by default every row of
-    every layer."""
-    # a row runs the width out and back, one meta-cylinder past each end;
-    # u-turns step a meta-row pitch, layer turns a meta-layer pitch
-    a, b, c = SUBPHASE_EXPONENTS[sub - 1]
-    n_rows = grid.n_rows * grid.n_layers if n_rows is None else n_rows
-    n_layers = grid.n_layers if n_layers is None else n_layers
-    spec = grid.spec
-    ell_m = (1 << a) * spec.ell
-    uturn = u_turn_length(spec.rho)
-    return Sweep(
-        n_rows=n_rows,
-        pass_len=2.0 * (grid.W + 2.0 * ell_m) + uturn + ell_m / 2.0,
-        turn_len=uturn + (1 << b) * spec.w / 2.0,
-        closing_len=grid.W + grid.H + grid.D + 2.0 * math.pi * spec.rho + 2.0 * ell_m,
-        n_layers=n_layers, layer_turn_len=uturn + (1 << c) * spec.w / 4.0)
 
 
 def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.0):

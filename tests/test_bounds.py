@@ -96,6 +96,8 @@ def test_reachable_leading_orders():
         reachable_leading(2, 2.0, UNIT, 1.0)
     with pytest.raises(ValueError):
         reachable_leading(2, 1.0, UNIT, -1.0)
+    with pytest.raises(ValueError, match="dim"):
+        reachable_leading(4, 1.0, UNIT, 1.0)
 
 
 def test_approximation_factor():

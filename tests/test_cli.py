@@ -5,12 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
 import ditsp
 from ditsp.cli import main
+from ditsp.harness import (TOUR_CSV_FIELDS, ExperimentConfig, run_experiment,
+                           write_tour_csv)
+from ditsp.vehicle import VehicleParams
 
 
 def test_tour_csv(tmp_path, capsys):
@@ -22,6 +26,10 @@ def test_tour_csv(tmp_path, capsys):
     assert len(rows) == 2
     assert rows[0]["algo"] == "sgs"
     assert float(rows[0]["total_time"]) > 0
+    # one target: a tour of one zero leg
+    rc = main(["tour", "--algo", "sgs", "--n", "1", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[1] == "sgs,1,0,0.0,0.0,0,0"
 
 
 def test_tour_json_format(capsys):
@@ -86,6 +94,30 @@ def test_scaling_slope_gate(tmp_path, capsys):
     rc = main(args + ["--slope-min", "0.99"])
     capsys.readouterr()
     assert rc == 1  # assertion failed -> nonzero exit
+    rc = main(args + ["--slope-max", "0.2"])
+    capsys.readouterr()
+    assert rc == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scaling_out_follows_format(tmp_path, capsys, fmt):
+    out = tmp_path / "s.out"
+    argv = ["scaling", "--algo", "sgs", "--ns", "20", "40", "--trials", "1",
+            "--rvel", "1", "--rctr", "1"]
+    assert main(["--format", fmt] + argv + ["--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_points"] == 2
+    config = ExperimentConfig(algo="sgs", dims=(1.0, 1.0),
+                              params=VehicleParams(1.0, 1.0), ns=(20, 40),
+                              n_seeds=1)
+    results = run_experiment(config)
+    if fmt == "csv":
+        # the bytes of the harness's own writer
+        want = tmp_path / "want.csv"
+        write_tour_csv(results, want)
+        assert out.read_bytes() == want.read_bytes()
+    else:
+        assert json.loads(out.read_text()) == [
+            dict(zip(TOUR_CSV_FIELDS, astuple(r))) for r in results]
 
 
 def test_config_file_defaults(tmp_path):
@@ -97,6 +129,12 @@ def test_config_file_defaults(tmp_path):
     assert rc == 0
     rows = list(csv.DictReader((tmp_path / "c.csv").read_text().splitlines()))
     assert len(rows) == 2 and rows[0]["n"] == "25"
+    # the "lambda" key sets dtrp's --lambda
+    cfgfile.write_text(json.dumps({"lambda": 30, "horizon": 20,
+                                   "out": str(tmp_path / "d.csv")}))
+    assert main(["--config", str(cfgfile), "dtrp"]) == 0
+    rows = list(csv.DictReader((tmp_path / "d.csv").read_text().splitlines()))
+    assert float(rows[0]["lambda"]) == 30.0
 
 
 def test_missing_depth_errors():
@@ -216,6 +254,14 @@ def test_import_leaves_scipy_optimize_unloaded():
         "import sys, ditsp, ditsp.cli; print([m for m in ('scipy.optimize', "
         "'scipy.spatial', 'scipy.linalg', 'scipy.special') "
         "if m in sys.modules])") == "[]"
+
+
+def test_dtrp_imports_no_tour_code():
+    # the DTRP policies stand on the grids and their sweeps alone
+    assert _run_fresh(
+        "import sys, ditsp.dtrp; print(sorted(m for m in sys.modules if "
+        "m.split('.')[0] == 'scipy' or m in ('ditsp.etsp', 'ditsp.planners', "
+        "'ditsp.harness')))") == "[]"
 
 
 def test_later_scipy_spatial_reuses_the_kd_tree_extension():

@@ -176,7 +176,7 @@ def test_divergence_flag_when_overloaded():
     ("lam", float("nan")), ("lam", -1.0), ("lam", float("inf")),
     ("dims", (0.0, 1.0)), ("dims", (1.0, -1.0)), ("dims", (1.0, 1.0, 0.0)),
     ("dims", (float("nan"), 1.0)), ("dims", (0.5, 1.0)),
-    ("dims", (1.0, 0.5, 0.7)),
+    ("dims", (1.0, 0.5, 0.7)), ("dims", (1.0,)), ("dims", (4.0, 3.0, 2.0, 1.0)),
 ])
 def test_config_rejects_bad_values(field, value):
     kwargs = {"dims": (1.0, 1.0), "params": SLOW, "lam": 20.0, field: value}

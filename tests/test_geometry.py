@@ -12,8 +12,9 @@ from ditsp import bounds, dtrp, geometry
 from ditsp.dtrp import DtrpConfig, _size_cell, predicted_system_time
 from ditsp.etsp import PointSet, worst_case_grid
 from ditsp.geometry import (MAX_TURN_RATIO, MIN_TURN_RATIO, BeadGrid, BeadSpec, CylinderGrid,
-                            CylinderSpec, bead_area, bead_width, cylinder_meta_index,
-                            cylinder_volume, ell_for_n, ell_for_n_3d)
+                            CylinderSpec, bead_area, bead_meta_exponents, bead_sweep,
+                            bead_width, cylinder_meta_index, cylinder_volume, ell_for_n,
+                            ell_for_n_3d)
 from ditsp.harness import ExperimentConfig
 from ditsp.planners import rec_bta, rec_cca
 from ditsp.rng import substream
@@ -168,12 +169,14 @@ def test_meta_index_halving():
         vr = (phase - 1) // 2
         vc = phase // 2
         assert 2**(vr + vc) == 2**(phase - 1)
+    with pytest.raises(ValueError, match="phase"):
+        bead_meta_exponents(0)
 
 
 def test_meta_row_count_monotone():
     spec = BeadSpec.create(0.05, 0.1)
     grid = BeadGrid(1.0, 1.0, spec)
-    counts = [grid.meta_row_count(p) for p in range(1, 12)]
+    counts = [bead_sweep(grid, p).n_rows for p in range(1, 12)]
     assert counts[0] == grid.n_rows
     assert all(b <= a for a, b in zip(counts, counts[1:]))
     assert counts[-1] >= 1

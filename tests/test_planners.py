@@ -12,10 +12,10 @@ from oracles import brute_force_walk
 
 from ditsp.etsp import PointSet
 from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
-                            cylinder_meta_index, ell_for_n, ell_for_n_3d)
-from ditsp.planners import (Tour, _runs, _serve_and_order, bead_sweep,
-                            cylinder_sweep, greedy_cleanup, rec_bta, rec_cca,
-                            stop_go_stop)
+                            bead_sweep, cylinder_meta_index, cylinder_sweep,
+                            ell_for_n, ell_for_n_3d)
+from ditsp.planners import (Tour, _runs, _serve_and_order, greedy_cleanup,
+                            rec_bta, rec_cca, stop_go_stop)
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams, stop_go_time
 
@@ -30,6 +30,10 @@ def test_stop_go_stop_square_corners():
     tour = stop_go_stop(PointSet(points=pts), VehicleParams(1.0, 1.0))
     assert tour.total_time == pytest.approx(8.0, rel=1e-12)
     assert tour.total_length == pytest.approx(4.0, rel=1e-12)
+    # one point: a closed tour of one zero leg
+    one = stop_go_stop(PointSet(points=pts[:1]), VehicleParams(1.0, 1.0))
+    assert (one.total_time, one.total_length) == (0.0, 0.0)
+    assert one.visit_order.tolist() == [0]
 
 
 def test_stop_go_stop_durations_match_edges():
