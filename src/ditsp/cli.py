@@ -4,9 +4,9 @@ Global flags ``--seed``, ``--out`` and ``--format`` apply to every
 subcommand; ``--config FILE`` loads a JSON object whose keys mirror the
 flags (explicit flags win).  ``--format`` chooses how ``tour`` and ``dtrp``
 write their rows and how ``scaling --out`` writes its trial rows;
-``bounds``, ``tile`` and the scaling fit always print JSON objects.  Exit status is 0 iff every assertion the
-invoked command makes holds (e.g. stability for ``dtrp``, slope windows for
-``scaling`` when requested).
+``bounds``, ``tile`` and the scaling fit always print JSON objects.  Exit
+status is 0 iff every assertion the invoked command makes holds (e.g.
+stability for ``dtrp``, slope windows for ``scaling`` when requested).
 """
 
 from __future__ import annotations

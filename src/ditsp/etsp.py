@@ -352,11 +352,12 @@ def etsp_tour(pset: PointSet, seed: int = 0) -> np.ndarray:
     Returns the closed order, a permutation of the point indices as an int64
     array; :func:`_edge_lengths` gives its edges.  Deterministic given
     ``seed``, which selects the start of the construction, a
-    :func:`nearest_walk`.  The 2-opt pass (``_two_opt``) runs first-improvement until no anchor is
-    left to try or until ``50 * n`` moves; its scans see every candidate for
-    ``n <= _GROW_ROWS_LIMIT`` and each city's ``_KNN`` nearest neighbours
-    above that.  The walk and 2-opt share one :func:`kd_neighbours` source:
-    one kd-tree and one batched query per tour.
+    :func:`nearest_walk`.  The 2-opt pass (``_two_opt``) runs
+    first-improvement until no anchor is left to try or until ``50 * n``
+    moves; its scans see every candidate for ``n <= _GROW_ROWS_LIMIT`` and
+    each city's ``_KNN`` nearest neighbours above that.  The walk and 2-opt
+    share one :func:`kd_neighbours` source: one kd-tree and one batched query
+    per tour.
     """
     points = pset.points
     n = pset.n

@@ -309,8 +309,8 @@ class Sweep:
 
 
 def bead_sweep(grid: BeadGrid, phase: int) -> Sweep:
-    """Sweep of every meta-row of a bead tiling at recursive phase ``phase``,
-    each meta-row intersecting the rectangle."""
+    """Sweep of a bead tiling at recursive phase ``phase`` over every
+    meta-row intersecting the rectangle."""
     # passes reach one meta-cell past each end; u-turns step a meta-row pitch
     vr, vc = bead_meta_exponents(phase)
     spec = grid.spec
