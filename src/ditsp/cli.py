@@ -187,14 +187,24 @@ def _add_common(p, dim_default=2):
 def _take_defaults(parser, config):
     """Make ``config``'s values the defaults of the flags ``parser`` declares.
 
+    A value goes through the flag's ``type`` as its text would on the command
+    line, so ``{"n": 2.5}`` is a usage error and ``{"lambda": 30}`` reads
+    30.0.  argparse converts a text default itself, when the parser runs and
+    the flag is not given; a list, for a flag of many values, is parsed here,
+    item by item.  ``null`` stays ``None``.
+
     A subcommand re-declares the global flags with ``SUPPRESS``, so they take
     their config value on the root parser only, where a flag given before the
     subcommand still overrides it.
     """
-    if config:
-        declared = vars(parser.parse_known_args([])[0])
-        parser.set_defaults(**{key: value for key, value in config.items()
-                               if key in declared})
+    for action in parser._actions if config else ():
+        if action.dest in config and action.default is not argparse.SUPPRESS:
+            value = config[action.dest]
+            if isinstance(value, list):
+                argv = [action.option_strings[0], *map(str, value)]
+                value = vars(parser.parse_known_args(argv)[0])[action.dest]
+            action.default = (value if value is None or isinstance(value, list)
+                              else str(value))
 
 
 def build_parser(config=None) -> argparse.ArgumentParser:

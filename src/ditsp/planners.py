@@ -104,9 +104,9 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray):
     return nearest_walk(rows, len(rows) - 1, kd_neighbours(rows))
 
 
-def _group_key(cols, scale: int = 1) -> np.ndarray:
+def _group_key(cols, scale: int = 1):
     """One int64 per row of equal-length integer key columns, equal iff the
-    rows are.
+    rows are, and the column spans.
 
     Columns are offset to 0 and combined in mixed radix, first column most
     significant, so the keys sort as the rows do lexicographically.  The keys
@@ -115,9 +115,11 @@ def _group_key(cols, scale: int = 1) -> np.ndarray:
     2**63``, the room a caller needs to multiply the keys by ``scale``.
     Each column is reduced on its own: along axis 0 of a (1.5e5, 3) int64
     array, ``min`` is about 30x slower.
+
+    Returns ``(key, widths)``, ``widths`` the spans (1 for empty columns).
     """
     if len(cols[0]) == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), [1] * len(cols)
     lows = [col.min() for col in cols]
     widths = [int(col.max()) - int(lo) + 1 for col, lo in zip(cols, lows)]
     span = math.prod(widths)
@@ -130,7 +132,7 @@ def _group_key(cols, scale: int = 1) -> np.ndarray:
         key *= width
         key += col
         key -= lo
-    return key
+    return key, widths
 
 
 def _serve_and_order(keys, row_top: int):
@@ -151,35 +153,43 @@ def _serve_and_order(keys, row_top: int):
     ``n**(7/3)``.
 
     Returns ``(first, keep)``: the served positions in sweep order (index
-    ``keys`` with them) and an m-long mask, False at ``first``.
+    ``keys`` with them) and an m-long mask, False at ``first``.  For 3D keys
+    it returns ``(first, keep, n_rows, n_layers)``, the counts of the
+    distinct (layer, row) pairs and layers among the served targets, taken
+    from the same sort.
     """
     *layers, row, col = keys
     m = len(col)
     rank = np.subtract(row_top, row)  # 0 for the top row
-    signed_col = np.negative(col, out=col.copy(), where=rank % 2 != 0)
-    key = _group_key((*layers, rank, signed_col), m)
+    signed_col = np.bitwise_and(rank, 1)  # col * (1 - 2 * (rank & 1))
+    signed_col *= -2
+    signed_col += 1
+    signed_col *= col
+    key, widths = _group_key((*layers, rank, signed_col), m)
     del rank, signed_col
     key *= m
-    pos = np.arange(m)
-    key += pos
+    key += np.arange(m)
     key.sort()
-    # a run starts where the sweep key changes; sweep keys are >= 0
-    sweep = np.floor_divide(key, m, out=pos)
-    starts = np.empty(m, dtype=bool)
-    starts[:1] = True
+    # a run starts where the sweep key changes; sweep keys are >= 0.  The
+    # m-long arrays go as soon as they are used, so the peak stays low
+    sweep = key // m
+    starts = np.ones(m, dtype=bool)
     np.not_equal(sweep[1:], sweep[:-1], out=starts[1:])
-    first = key[starts]
-    first %= m
+    del sweep
+    first = np.take(key, np.flatnonzero(starts))
+    del key, starts
+    sweep = first // m
+    first -= sweep * m
+    counts = []
+    # 3D: floor-divided by the column span, then by the rank span too, the
+    # ascending heads' sweep keys hold one run per (layer, row), then per
+    # layer; they are >= 0, so -1 starts the first run
+    for width in widths[:0:-1] if layers else ():
+        sweep //= width
+        counts.append(int(np.count_nonzero(np.diff(sweep, prepend=-1))))
     keep = np.ones(m, dtype=bool)
     keep[first] = False
-    return first, keep
-
-
-def _runs(cols) -> int:
-    """Number of runs of equal rows in key columns: in sweep order, the
-    distinct layers or (layer, row) pairs."""
-    # group keys are >= 0, so the first row starts a run
-    return int(np.count_nonzero(np.diff(_group_key(cols), prepend=-1)))
+    return first, keep, *counts
 
 
 def _check_workspace(pset: PointSet, dims) -> None:
@@ -236,7 +246,8 @@ def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.
         top, (col_lo, col_hi) = grid.meta_index(phase, grid.row_max, [lo, hi])
         first, keep = _serve_and_order(grid.meta_index(phase, rows, cols), top)
         visit_chunks.append(idx[first])
-        idx, rows, cols = idx[keep], rows[keep], cols[keep]
+        rest = np.flatnonzero(keep)
+        idx, rows, cols = (np.take(v, rest) for v in (idx, rows, cols))
         sweep = bead_sweep(grid, phase)
         reports.append(PhaseReport(
             phase=phase, meta_size=1 << (phase - 1),
@@ -271,22 +282,23 @@ def rec_cca(pset: PointSet, params: VehicleParams,
     for phase in range(1, n_phases + 1):
         ell_p = min(2.0 ** (phase - 1) * ell0, 4.0 * rho)
         grid = CylinderGrid(W, H, D, CylinderSpec.create(rho, ell_p))
-        lay, row, col = grid.cell_index(pset.points[idx])
+        # phase 1 serves from every target, so only later phases gather
+        lay, row, col = grid.cell_index(
+            pset.points if phase == 1 else np.take(pset.points, idx, axis=0))
 
         for sub, (a, b, c) in enumerate(SUBPHASE_EXPONENTS, 1):
             keys = cylinder_meta_index(sub, lay, row, col)
             _, top, col_last = cylinder_meta_index(sub, 0, grid.row_max,
                                                    grid.n_cols - 1)
-            first, keep = _serve_and_order(keys, top)
-            visit_chunks.append(idx[first])
-            idx, lay, row, col = idx[keep], lay[keep], row[keep], col[keep]
             # only meta-rows that still hold unserved targets are swept;
             # empty cylinders need no pass.  Every occupied meta-cylinder
-            # serves one target, so the runs of the served targets' keys, in
-            # sweep order, count the occupied (layer, row) pairs and layers
-            served_keys = [key[first] for key in keys[:2]]
-            sweep = cylinder_sweep(grid, sub, n_rows=_runs(served_keys),
-                                   n_layers=_runs(served_keys[:1]))
+            # serves one target, so the served targets count the occupied
+            # (layer, row) pairs and layers
+            first, keep, n_rows, n_layers = _serve_and_order(keys, top)
+            visit_chunks.append(idx[first])
+            rest = np.flatnonzero(keep)
+            idx, lay, row, col = (np.take(v, rest) for v in (idx, lay, row, col))
+            sweep = cylinder_sweep(grid, sub, n_rows=n_rows, n_layers=n_layers)
             reports.append(PhaseReport(
                 phase=phase, meta_size=1 << (a + b + c),
                 cells_traversed=sweep.n_rows * int(col_last + 1),

@@ -281,6 +281,33 @@ def test_config_file_yields_to_flags(tmp_path, flag):
     assert rows[0]["n"] == "7"
 
 
+@pytest.mark.parametrize("config, argv, message", [
+    ({"n": 2.5}, ["tour"], "ditsp tour: error: argument --n: invalid int "
+                           "value: '2.5'"),
+    ({"ns": [1000.5, 2000]}, ["scaling"], "ditsp scaling: error: argument "
+                                          "--ns: invalid int value: '1000.5'"),
+])
+def test_config_value_goes_through_the_flag_type(tmp_path, capsys, config,
+                                                 argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+def test_config_number_reads_as_the_flag_does(tmp_path, capsys):
+    # {"lambda": 30} writes the column that --lambda 30 writes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": 30, "horizon": 5}))
+    assert main(["--config", str(cfg), "dtrp"]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["dtrp", "--lambda", "30", "--horizon", "5"]) == 0
+    assert capsys.readouterr().out == from_config
+    assert next(csv.DictReader(from_config.splitlines()))["lambda"] == "30.0"
+
+
 def test_config_file_global_flag_either_side(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 20, "seed": 5}))

@@ -14,7 +14,7 @@ from ditsp.etsp import PointSet
 from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
                             bead_sweep, cylinder_meta_index, cylinder_sweep,
                             ell_for_n, ell_for_n_3d)
-from ditsp.planners import (Tour, _runs, _serve_and_order, greedy_cleanup,
+from ditsp.planners import (Tour, _serve_and_order, greedy_cleanup,
                             rec_bta, rec_cca, stop_go_stop)
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams, stop_go_time
@@ -393,6 +393,8 @@ def test_serve_and_order_rejects_key_span_past_int64():
                           st.integers(-5, 5), st.integers(1, 3)), max_size=200),
        st.integers(2, 3), st.integers(-4, 6))
 @example(rows=[(0, 0, 0, 1)] * 40 + [(0, 1, 0, 1)] * 40, k=2, row_top=1)
+@example(rows=[], k=3, row_top=0)  # 3D counts (0, 0)
+@example(rows=[(2, -1, 3, 1)], k=3, row_top=0)  # 3D counts (1, 1)
 def test_serve_and_order_matches_dict_and_sorted(rows, k, row_top):
     # small index ranges: many targets share a meta-cell; gapped ascending
     # ages, as the planners keep them
@@ -408,14 +410,17 @@ def test_serve_and_order_matches_dict_and_sorted(rows, k, row_top):
 
     want = sorted(oldest.items(), key=lambda item: sweep(item[0]))
     before = keys.copy()
-    first, keep = _serve_and_order(tuple(keys.T), row_top)
+    first, keep, *counts = _serve_and_order(tuple(keys.T), row_top)
     order, served_keys = idx[first], tuple(c[first] for c in keys.T)
     assert order.tolist() == [age for _, age in want]
     assert list(zip(*(c.tolist() for c in served_keys))) == [key for key, _ in want]
     assert idx[~keep].tolist() == sorted(oldest.values())
     assert np.array_equal(keys, before)
-    assert _runs(served_keys[:-1]) == len({key[:-1] for key in oldest})
-    assert _runs(served_keys[:1]) == len({key[:1] for key in oldest})
+    # 3D keys also count the distinct (layer, row) pairs and layers; 2D
+    # keys count nothing
+    want_counts = [len({key[:-1] for key in oldest}),
+                   len({key[:1] for key in oldest})]
+    assert counts == (want_counts if k == 3 else [])
 
 
 def test_sweep_planners_peak_memory_and_zero_shift_keys():

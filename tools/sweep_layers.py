@@ -8,11 +8,14 @@ and 1e6, and on the clustered input of the benchmark's ``sweeps`` workload
 (7e3 points around 20 hotspots), all from seed 1.  Each round makes one
 planner call with the layers wrapped by timers: the cell lookup
 (``BeadGrid``/``CylinderGrid.cell_index``), the per-(sub-)phase serve and
-order step (``planners._serve_and_order``) and the cleanup
-(``planners.greedy_cleanup``).  Each row gives the medians over the rounds
-of each layer's time, of the rest of the call (gathers, compaction and
-sweep accounting: the call's time less the three layers) and of the whole
-call.  ``peak_mib`` is the ``tracemalloc`` peak of one more call, made after
+order step (``planners._serve_and_order``) and the cleanup's two parts, its
+neighbour query (``kd_neighbours``) and its walk (``nearest_walk``), as
+``planners.greedy_cleanup`` calls them.  Each row gives the medians over
+the rounds of each layer's time, of the rest of the call (the call's time
+less the four layers: the input checks and the cell sizing, the
+per-phase gathers of the points, the compaction and the visit-order
+gathers, the sweep accounting and the cleanup's stacking of its input and
+of the tour's rows) and of the whole call.  ``peak_mib`` is the ``tracemalloc`` peak of one more call, made after
 the timed rounds without the timers, and ``peak_x`` that peak over the
 points' bytes.  ditsp comes from ``src/`` of the checkout this file sits
 in, so two checkouts can be compared with the same script; two versions
@@ -46,7 +49,8 @@ from ditsp.geometry import BeadGrid, CylinderGrid  # noqa: E402
 LAYERS = {
     "lookup": ((BeadGrid, "cell_index"), (CylinderGrid, "cell_index")),
     "serve_order": ((planners, "_serve_and_order"),),
-    "cleanup": ((planners, "greedy_cleanup"),),
+    "cleanup_kd": ((planners, "kd_neighbours"),),
+    "cleanup_walk": ((planners, "nearest_walk"),),
 }
 ROUNDS = {150_000: 11, 1_000_000: 5}
 CLUSTERED_ROUNDS = 21
@@ -129,7 +133,8 @@ def main() -> int:
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"{platform.machine()}")
     print(f"{'case':>16} {'planner':>7} {'rounds':>6} {'lookup_s':>9} "
-          f"{'serve_order_s':>13} {'cleanup_s':>9} {'rest_s':>8} "
+          f"{'serve_order_s':>13} {'cleanup_kd_s':>12} "
+          f"{'cleanup_walk_s':>14} {'rest_s':>8} "
           f"{'total_s':>8} {'peak_mib':>9} {'peak_x':>6}  digest")
     for label, algo, pset in _cases():
         rounds = ROUNDS.get(pset.n, CLUSTERED_ROUNDS)
@@ -142,10 +147,11 @@ def main() -> int:
             layers = [timers.spent[layer] for layer in LAYERS]
             rows.append((*layers, total - sum(layers), total))
         peak = _peak_mib(lambda: _plan(algo, pset))
-        lookup, serve, cleanup, rest, total = (
+        lookup, serve, kd, walk, rest, total = (
             statistics.median(col) for col in zip(*rows))
         print(f"{label:>16} {algo:>7} {rounds:>6} {lookup:>9.4f} "
-              f"{serve:>13.4f} {cleanup:>9.4f} {rest:>8.4f} {total:>8.4f} "
+              f"{serve:>13.4f} {kd:>12.4f} {walk:>14.4f} {rest:>8.4f} "
+              f"{total:>8.4f} "
               f"{peak:>9.2f} {peak * 2**20 / pset.points.nbytes:>6.2f}  "
               f"{_digest(*out)}")
     return 0
