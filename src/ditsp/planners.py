@@ -104,7 +104,7 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray):
     return nearest_walk(rows, len(rows) - 1, kd_neighbours(rows))
 
 
-def _group_key(cols, scale: int = 1):
+def _group_key(cols, scale: int = 1) -> tuple[np.ndarray, list[int]]:
     """One int64 per row of equal-length integer key columns, equal iff the
     rows are, and the column spans.
 

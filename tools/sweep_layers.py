@@ -11,16 +11,16 @@ planner call with the layers wrapped by timers: the cell lookup
 order step (``planners._serve_and_order``) and the cleanup's two parts, its
 neighbour query (``kd_neighbours``) and its walk (``nearest_walk``), as
 ``planners.greedy_cleanup`` calls them.  Each row gives the medians over
-the rounds of each layer's time, of the rest of the call (the call's time
-less the four layers: the input checks and the cell sizing, the
-per-phase gathers of the points, the compaction and the visit-order
-gathers, the sweep accounting and the cleanup's stacking of its input and
-of the tour's rows) and of the whole call.  ``peak_mib`` is the ``tracemalloc`` peak of one more call, made after
-the timed rounds without the timers, and ``peak_x`` that peak over the
-points' bytes.  ditsp comes from ``src/`` of the checkout this file sits
-in, so two checkouts can be compared with the same script; two versions
-that agree bit for bit print the same digest of the tour (its totals, phase
-reports and visit order).
+the rounds of each layer's time, of the rest of the call and of the whole
+call.  The rest is the call's time less the four layers: the input checks
+and the cell sizing, the per-phase gathers of the points, the compaction
+and the visit-order gathers, the sweep accounting, and the cleanup's
+stacking of its input and of the tour's rows.  ``peak_mib`` is the
+``tracemalloc`` peak of one more call, made after the timed rounds without
+the timers, and ``peak_x`` that peak over the points' bytes.  ditsp comes
+from ``src/`` of the checkout this file sits in, so two checkouts can be
+compared with the same script; two versions that agree bit for bit print
+the same digest of the tour (its totals, phase reports and visit order).
 """
 
 from __future__ import annotations
