@@ -19,7 +19,10 @@ The sweeps of both grids are defined here too, once per grid type: a
 (sub-)phase sweep is one :class:`Sweep` (row passes, heading-reversal
 u-turns, layer turns and the tour closing), given by :func:`bead_sweep` and
 :func:`cylinder_sweep`.  The recursive tours charge them per phase and the
-DTRP policies take their sweep periods from them.
+DTRP policies take their sweep periods from them.  So are the recursive
+tours' schedules, without points: :func:`bead_schedule` and
+:func:`cylinder_schedule` yield each (sub-)phase's grid and meta-cell
+exponents, which :func:`meta_index` applies to cell indices.
 """
 
 from __future__ import annotations
@@ -172,16 +175,6 @@ class BeadGrid:
             for col in range(lo, hi + 1):
                 yield row, col
 
-    def meta_index(self, phase: int, row, col):
-        """Aggregate cell index to the meta-cell index of the given phase
-        (see :func:`bead_meta_exponents`).
-
-        A column whose exponent is 0 comes back unchanged, the caller's own
-        object, so callers must not write into the keys."""
-        return tuple(_shifted(k, e) for k, e in
-                     zip((row, col), bead_meta_exponents(phase)))
-
-
 def bead_meta_exponents(phase: int) -> tuple[int, int]:
     """Aggregation exponents ``(rows, cols)`` of bead phase ``phase``: its
     meta-cells are ``2**rows`` bead rows by ``2**cols`` bead columns.
@@ -262,40 +255,67 @@ class CylinderGrid:
         return layer, np.negative(t, out=t), col
 
 
-# sub-phase aggregation exponents (cols, rows, layers): meta-cylinders of
-# 1, 2, 4, 8, 16 cells
-SUBPHASE_EXPONENTS = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 1, 1))
+# sub-phase aggregation exponents (layers, rows, cols), in the order of the
+# cell index columns: meta-cylinders of 1, 2, 4, 8, 16 cells
+SUBPHASE_EXPONENTS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2), (1, 1, 2))
 # sweep length of one cell-enlargement cycle (five sub-phases) relative to its
 # first sub-phase: aggregating 2**b rows and 2**c layers divides the rows
 # swept by 2**(b+c), so 1 + 1 + 1/2 + 1/2 + 1/4 = 3.25 (3328/1024)
-CYCLE_FACTOR_3D = sum(2.0 ** -(b + c) for _, b, c in SUBPHASE_EXPONENTS)
+CYCLE_FACTOR_3D = sum(2.0 ** -(b + c) for c, b, _ in SUBPHASE_EXPONENTS)
 # the five-sub-phase sweep budget of the 3D tour bound and the cca policy
 SWEEP_BUDGET_3D = 1024.0 * CYCLE_FACTOR_3D  # 3328
 
 
-def cylinder_meta_index(subphase: int, layer, row, col):
-    """Meta-cylinder index for sub-phase ``subphase`` in {1..5}.
+def meta_index(keys, exponents):
+    """Meta-cell index columns of the cell index columns ``keys``: each
+    column aggregated ``2**exponent`` to one, exponents in the columns'
+    order, as the schedules yield them.
 
     A column whose exponent is 0 comes back unchanged, the caller's own
     object, so callers must not write into the keys."""
-    if not 1 <= subphase <= 5:
-        raise ValueError("subphase must be in 1..5")
-    a, b, c = SUBPHASE_EXPONENTS[subphase - 1]
-    return _shifted(layer, c), _shifted(row, b), _shifted(col, a)
+    return tuple(key if e == 0 else np.asarray(key) >> e
+                 for key, e in zip(keys, exponents))
 
 
-def _shifted(key, exponent: int):
-    """Cell indices ``key`` aggregated ``2**exponent`` to one; ``key``
-    itself when ``exponent`` is 0."""
-    return key if exponent == 0 else np.asarray(key) >> exponent
+def bead_schedule(W: float, H: float, rho: float, ell: float, n: int):
+    """The phases of the recursive bead tiling of ``n`` targets, without
+    points: yields ``(phase, None, grid, exponents)``.
+
+    Phases run from 1 to ``ceil(log2 n) + 1``, all on one grid of cells of
+    length ``ell``; the exponents are :func:`bead_meta_exponents`."""
+    _check_n(n)
+    grid = BeadGrid(W, H, BeadSpec.create(rho, ell))
+    for phase in range(1, math.ceil(math.log2(n)) + 2):
+        yield phase, None, grid, bead_meta_exponents(phase)
+
+
+def cylinder_schedule(W: float, H: float, D: float, rho: float, ell: float,
+                      n: int):
+    """The sub-phases of the recursive cylinder covering of ``n`` targets,
+    without points: yields ``(phase, subphase, grid, exponents)``.
+
+    Phases run from 1 to ``ceil((log2 n + 7) / 5)`` (1 for ``n = 1``), each
+    of the five sub-phases of ``SUBPHASE_EXPONENTS`` on one grid.  Phase
+    ``p``'s cell is ``2**(p-1) * ell`` long, held at ``4*rho``: each phase
+    doubles the cell (about 32 times its volume) until it is the largest
+    admissible."""
+    _check_n(n)
+    n_phases = math.ceil((math.log2(n) + 7.0) / 5.0) if n > 1 else 1
+    for phase in range(1, n_phases + 1):
+        grid = CylinderGrid(W, H, D, CylinderSpec.create(
+            rho, min(2.0 ** (phase - 1) * ell, 4.0 * rho)))
+        for sub, exponents in enumerate(SUBPHASE_EXPONENTS, 1):
+            yield phase, sub, grid, exponents
 
 
 @dataclass(frozen=True)
 class Sweep:
-    """One (sub-)phase sweep: ``n_rows`` passes, each ended by a u-turn,
-    ``n_layers`` layer turns and a closing leg."""
+    """One (sub-)phase sweep: ``n_rows`` passes over ``n_cols``
+    meta-columns, each ended by a u-turn, ``n_layers`` layer turns and a
+    closing leg."""
 
     n_rows: int
+    n_cols: int
     pass_len: float
     turn_len: float
     closing_len: float
@@ -315,8 +335,10 @@ def bead_sweep(grid: BeadGrid, phase: int) -> Sweep:
     vr, vc = bead_meta_exponents(phase)
     spec = grid.spec
     meta_width = (1 << vc) * spec.ell
+    lo, hi = grid.col_range(0)
     return Sweep(
         n_rows=(grid.row_max >> vr) - (grid.row_min >> vr) + 1,
+        n_cols=(hi >> vc) - (lo >> vc) + 1,
         pass_len=grid.W + 2.0 * meta_width,
         turn_len=u_turn_length(spec.rho) + (1 << vr) * spec.w / 2.0,
         closing_len=grid.W + grid.H + 2.0 * math.pi * spec.rho + 2.0 * meta_width)
@@ -326,17 +348,19 @@ def cylinder_sweep(grid: CylinderGrid, sub: int = 1, n_rows: int | None = None,
                    n_layers: int | None = None) -> Sweep:
     """Sweep of sub-phase ``sub`` over ``n_rows`` (layer, meta-row) pairs in
     ``n_layers`` layers of a cylinder covering; by default every row of
-    every layer."""
+    every layer.  A ``sub`` outside 1..5 is a ``ValueError``."""
     # a row runs the width out and back, one meta-cylinder past each end;
     # u-turns step a meta-row pitch, layer turns a meta-layer pitch
-    a, b, c = SUBPHASE_EXPONENTS[sub - 1]
+    if not 1 <= sub <= 5:
+        raise ValueError(f"subphase must be in 1..5, got {sub}")
+    c, b, a = SUBPHASE_EXPONENTS[sub - 1]
     n_rows = grid.n_rows * grid.n_layers if n_rows is None else n_rows
     n_layers = grid.n_layers if n_layers is None else n_layers
     spec = grid.spec
     ell_m = (1 << a) * spec.ell
     uturn = u_turn_length(spec.rho)
     return Sweep(
-        n_rows=n_rows,
+        n_rows=n_rows, n_cols=((grid.n_cols - 1) >> a) + 1,
         pass_len=2.0 * (grid.W + 2.0 * ell_m) + uturn + ell_m / 2.0,
         turn_len=uturn + (1 << b) * spec.w / 2.0,
         closing_len=grid.W + grid.H + grid.D + 2.0 * math.pi * spec.rho + 2.0 * ell_m,

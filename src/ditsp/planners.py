@@ -4,8 +4,12 @@ cylinder covering (3D).
 The recursive planners produce *accounted* tours rather than synthesized
 curves: a tour is one ``(length, duration)`` row per (sub-)phase sweep, whose
 length is the sweep's closed form (row passes, heading-reversal u-turns, tour
-closing), and one row per stop-go leg of the cleanup.  Each (sub-)phase is
-one :class:`~ditsp.geometry.Sweep`, defined once per grid type by
+closing), and one row per stop-go leg of the cleanup.  Their (sub-)phases,
+grids and meta-cells come from the point-free schedules
+:func:`~ditsp.geometry.bead_schedule` and
+:func:`~ditsp.geometry.cylinder_schedule`, which both planners run through
+one loop, :func:`_sweep_tour`.  Each (sub-)phase is one
+:class:`~ditsp.geometry.Sweep`, defined once per grid type by
 :func:`~ditsp.geometry.bead_sweep` and :func:`~ditsp.geometry.cylinder_sweep`;
 the DTRP policies take their sweep periods from the same two functions.
 Bead sweeps cover every meta-row intersecting the workspace, which keeps the
@@ -24,17 +28,14 @@ import numpy as np
 from ditsp.etsp import (PointSet, _edge_lengths, etsp_tour, kd_neighbours,
                         nearest_walk)
 from ditsp.geometry import (
-    SUBPHASE_EXPONENTS,
-    BeadGrid,
-    BeadSpec,
-    CylinderGrid,
-    CylinderSpec,
     _check_dims,
+    bead_schedule,
     bead_sweep,
-    cylinder_meta_index,
+    cylinder_schedule,
     cylinder_sweep,
     ell_for_n,
     ell_for_n_3d,
+    meta_index,
 )
 from ditsp.vehicle import VehicleParams, stop_go_time
 
@@ -206,16 +207,49 @@ def _check_workspace(pset: PointSet, dims) -> None:
                              f"{axis} = {high} > {name} = {size}")
 
 
-def _cleanup_tail(pset, leftover_idx, reports, visit_chunks, params) -> Tour:
-    """The sweeps' tour, one row per phase report at the speed cap, completed
-    by a greedy stop-go cleanup from the origin over the targets
-    ``leftover_idx``."""
-    legs, clean_order = greedy_cleanup(pset.points[leftover_idx], np.zeros(pset.d))
-    visit_chunks.append(leftover_idx[clean_order])
+def _sweep_tour(pset: PointSet, params: VehicleParams, schedule):
+    """Serve the targets over a schedule of (sub-)phases; returns (Tour,
+    phase reports).
+
+    Each stage ``(phase, subphase, grid, exponents)`` of
+    :func:`~ditsp.geometry.bead_schedule` or
+    :func:`~ditsp.geometry.cylinder_schedule` serves the oldest unserved
+    target of each occupied meta-cell in sweep order, and charges its sweep
+    at the speed cap: :func:`~ditsp.geometry.bead_sweep` when ``subphase``
+    is None, else :func:`~ditsp.geometry.cylinder_sweep` over the occupied
+    (layer, meta-row) pairs and layers.  Cells are looked up only when a
+    stage's grid is not the previous stage's, on the targets still unserved;
+    each stage compacts their ascending indices and cell columns with one
+    index.  A greedy stop-go cleanup from the origin completes the tour.
+    """
+    idx = np.arange(pset.n)
+    reports, visit_chunks = [], []
+    grid = None
+    for phase, sub, stage_grid, exponents in schedule:
+        if stage_grid is not grid:
+            # the first stage serves from every target, so only later
+            # lookups gather
+            cells = stage_grid.cell_index(pset.points if grid is None else
+                                          np.take(pset.points, idx, axis=0))
+            grid = stage_grid
+        first, keep, *counts = _serve_and_order(
+            meta_index(cells, exponents), grid.row_max >> exponents[-2])
+        visit_chunks.append(idx[first])
+        rest = np.flatnonzero(keep)
+        idx, *cells = (np.take(v, rest) for v in (idx, *cells))
+        sweep = (bead_sweep(grid, phase) if sub is None
+                 else cylinder_sweep(grid, sub, *counts))
+        reports.append(PhaseReport(
+            phase=phase, meta_size=1 << sum(exponents),
+            cells_traversed=sweep.n_rows * sweep.n_cols, served=len(first),
+            leftover_after=len(idx), length=sweep.length, subphase=sub))
+
+    legs, clean_order = greedy_cleanup(pset.points[idx], np.zeros(pset.d))
+    visit_chunks.append(idx[clean_order])
     rows = [(r.length, r.length / params.r_vel) for r in reports]
     return Tour(segments=np.vstack((np.reshape(rows, (-1, 2)),
                                     _leg_rows(legs, params))),
-                visit_order=np.concatenate(visit_chunks))
+                visit_order=np.concatenate(visit_chunks)), reports
 
 
 def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.0):
@@ -223,86 +257,36 @@ def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.
 
     The vehicle cruises at the speed cap during the recursive sweeps (turn
     radius ``params.turn_radius``) and uses stop-go legs for the final greedy
-    cleanup.  Runs ``ceil(log2 n) + 1`` recursive phases.  The cells are
-    looked up once; each phase works only on the targets still unserved,
-    whose ascending indices and cell columns it compacts with one mask once
-    it has served the oldest target of each meta-cell.
+    cleanup.  Runs the ``ceil(log2 n) + 1`` phases of
+    :func:`~ditsp.geometry.bead_schedule` on cells sized by
+    :func:`~ditsp.geometry.ell_for_n`, through :func:`_sweep_tour`: the
+    cells are looked up once, and phase ``i`` serves one target per
+    meta-cell of ``2**(i-1)`` beads.
     """
     if pset.d != 2:
         raise ValueError("rec_bta requires 2D points")
     _check_workspace(pset, (W, H))
-    n = pset.n
     rho = params.turn_radius
-    ell, _ = ell_for_n(W, H, rho, n)
-    grid = BeadGrid(W, H, BeadSpec.create(rho, ell))
-    rows, cols = grid.cell_index(pset.points)
-    lo, hi = grid.col_range(0)
-
-    n_phases = int(math.ceil(math.log2(n))) + 1
-    idx = np.arange(n)
-    reports, visit_chunks = [], []
-
-    for phase in range(1, n_phases + 1):
-        top, (col_lo, col_hi) = grid.meta_index(phase, grid.row_max, [lo, hi])
-        first, keep = _serve_and_order(grid.meta_index(phase, rows, cols), top)
-        visit_chunks.append(idx[first])
-        rest = np.flatnonzero(keep)
-        idx, rows, cols = (np.take(v, rest) for v in (idx, rows, cols))
-        sweep = bead_sweep(grid, phase)
-        reports.append(PhaseReport(
-            phase=phase, meta_size=1 << (phase - 1),
-            cells_traversed=sweep.n_rows * int(col_hi - col_lo + 1),
-            served=len(first), leftover_after=len(idx), length=sweep.length))
-
-    return _cleanup_tail(pset, idx, reports, visit_chunks, params), reports
+    ell, _ = ell_for_n(W, H, rho, pset.n)
+    return _sweep_tour(pset, params, bead_schedule(W, H, rho, ell, pset.n))
 
 
 def rec_cca(pset: PointSet, params: VehicleParams,
             W: float = 1.0, H: float = 1.0, D: float = 1.0):
     """Recursive cylinder-covering tour over a box; returns (Tour, phase reports).
 
-    Each phase runs five sub-phases over meta-cylinders of 1, 2, 4, 8 and 16
-    cells; between phases the cell is enlarged to twice its length (about 32
-    times its volume).  Runs ``ceil((log2 n + 7) / 5)`` phases, then a greedy
-    stop-go cleanup.  Each phase looks up the cells of the targets still
-    unserved on its own grid; each sub-phase works only on those targets and
-    compacts their ascending indices and cell columns with one mask once it
-    has served the oldest target of each meta-cylinder.
+    Runs the ``ceil((log2 n + 7) / 5)`` phases of
+    :func:`~ditsp.geometry.cylinder_schedule` from the cell sized by
+    :func:`~ditsp.geometry.ell_for_n_3d`, through :func:`_sweep_tour`, then
+    a greedy stop-go cleanup.  Each phase runs five sub-phases over
+    meta-cylinders of 1, 2, 4, 8 and 16 cells, and looks up the cells of
+    the targets still unserved on its own grid; between phases the cell
+    doubles in length (about 32 times its volume), held at ``4*rho``.
     """
     if pset.d != 3:
         raise ValueError("rec_cca requires 3D points")
     _check_workspace(pset, (W, H, D))
-    n = pset.n
     rho = params.turn_radius
-    ell0, _ = ell_for_n_3d(W, H, D, rho, n)
-    n_phases = int(math.ceil((math.log2(n) + 7.0) / 5.0)) if n > 1 else 1
-    idx = np.arange(n)
-    reports, visit_chunks = [], []
-
-    for phase in range(1, n_phases + 1):
-        ell_p = min(2.0 ** (phase - 1) * ell0, 4.0 * rho)
-        grid = CylinderGrid(W, H, D, CylinderSpec.create(rho, ell_p))
-        # phase 1 serves from every target, so only later phases gather
-        lay, row, col = grid.cell_index(
-            pset.points if phase == 1 else np.take(pset.points, idx, axis=0))
-
-        for sub, (a, b, c) in enumerate(SUBPHASE_EXPONENTS, 1):
-            keys = cylinder_meta_index(sub, lay, row, col)
-            _, top, col_last = cylinder_meta_index(sub, 0, grid.row_max,
-                                                   grid.n_cols - 1)
-            # only meta-rows that still hold unserved targets are swept;
-            # empty cylinders need no pass.  Every occupied meta-cylinder
-            # serves one target, so the served targets count the occupied
-            # (layer, row) pairs and layers
-            first, keep, n_rows, n_layers = _serve_and_order(keys, top)
-            visit_chunks.append(idx[first])
-            rest = np.flatnonzero(keep)
-            idx, lay, row, col = (np.take(v, rest) for v in (idx, lay, row, col))
-            sweep = cylinder_sweep(grid, sub, n_rows=n_rows, n_layers=n_layers)
-            reports.append(PhaseReport(
-                phase=phase, meta_size=1 << (a + b + c),
-                cells_traversed=sweep.n_rows * int(col_last + 1),
-                served=len(first), leftover_after=len(idx),
-                length=sweep.length, subphase=sub))
-
-    return _cleanup_tail(pset, idx, reports, visit_chunks, params), reports
+    ell, _ = ell_for_n_3d(W, H, D, rho, pset.n)
+    return _sweep_tour(pset, params,
+                       cylinder_schedule(W, H, D, rho, ell, pset.n))

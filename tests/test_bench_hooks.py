@@ -1,12 +1,16 @@
-"""The benchmark's tracer still finds every program name it wraps.
+"""The benchmark's tracer and the layer tools still find every program name
+they wrap.
 
 ``perfbench/layers.py`` wraps public ditsp names from outside the package
 (``planners.rec_bta``, ``planners.ell_for_n``, ``harness.stop_go_stop``, ...)
 and reads ``Tour.segments`` and the order ``greedy_cleanup`` returns.  A
 rename would otherwise show only when the benchmark runs; here it fails a
 tiny traced run of each sweep planner and of one stop-go-stop trial.
+``tools/sweep_layers.py`` times the sweep planners' layers by the names in
+its ``LAYERS`` table, which must resolve too.
 """
 
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -61,3 +65,13 @@ def test_traced_run_trial_records_sweep_planner_spans():
     assert {"harness.run_trial", "planners.rec_bta",
             "planners.rec_cca"} <= spans
     assert tracer.counts["planners.segments"] > 0
+
+
+def test_sweep_layers_tool_names_resolve():
+    tool = Path(__file__).resolve().parents[1] / "tools" / "sweep_layers.py"
+    spec = importlib.util.spec_from_file_location("sweep_layers", tool)
+    sweep_layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep_layers)
+    for layer, targets in sweep_layers.LAYERS.items():
+        for owner, attr in targets:
+            assert callable(getattr(owner, attr, None)), (layer, attr)

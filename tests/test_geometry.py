@@ -12,9 +12,9 @@ from ditsp import bounds, dtrp, geometry
 from ditsp.dtrp import DtrpConfig, _size_cell, predicted_system_time
 from ditsp.etsp import PointSet, worst_case_grid
 from ditsp.geometry import (MAX_TURN_RATIO, MIN_TURN_RATIO, BeadGrid, BeadSpec, CylinderGrid,
-                            CylinderSpec, bead_area, bead_meta_exponents, bead_sweep,
-                            bead_width, cylinder_meta_index, cylinder_volume, ell_for_n,
-                            ell_for_n_3d)
+                            CylinderSpec, bead_area, bead_meta_exponents, bead_schedule,
+                            bead_sweep, bead_width, cylinder_schedule, cylinder_sweep,
+                            cylinder_volume, ell_for_n, ell_for_n_3d, meta_index)
 from ditsp.harness import ExperimentConfig
 from ditsp.planners import rec_bta, rec_cca
 from ditsp.rng import substream
@@ -154,15 +154,16 @@ def test_bead_grid_cells_cover_rectangle_count():
 
 
 def test_meta_index_halving():
-    spec = BeadSpec.create(0.05, 0.1)
-    grid = BeadGrid(1.0, 1.0, spec)
     rows = np.arange(0, 16)
     cols = np.arange(0, 16)
-    r1, c1 = grid.meta_index(1, rows, cols)
+    # n = 4 runs phases 1 to ceil(log2 4) + 1 = 3, all on one grid
+    stages = list(bead_schedule(1.0, 1.0, 0.05, 0.1, 4))
+    assert [stage[:2] for stage in stages] == [(1, None), (2, None), (3, None)]
+    assert all(stage[2] is stages[0][2] for stage in stages)
+    (r1, c1), (r2, c2), (r3, c3) = (meta_index((rows, cols), exponents)
+                                    for *_, exponents in stages)
     assert np.array_equal(r1, rows) and np.array_equal(c1, cols)
-    r2, c2 = grid.meta_index(2, rows, cols)
     assert np.array_equal(c2, cols // 2) and np.array_equal(r2, rows)
-    r3, c3 = grid.meta_index(3, rows, cols)
     assert np.array_equal(r3, rows // 2) and np.array_equal(c3, cols // 2)
     # meta-cell of phase i groups 2**(i-1) base cells
     for phase in range(1, 8):
@@ -255,12 +256,37 @@ def test_cylinder_grid_owner_is_nearest_axis(seed, rho, ell_frac, W, h, d):
 
 
 def test_cylinder_meta_index():
-    k, r, c = cylinder_meta_index(1, 5, 6, 7)
-    assert (int(k), int(r), int(c)) == (5, 6, 7)
-    k, r, c = cylinder_meta_index(5, 5, 6, 7)
-    assert (int(k), int(r), int(c)) == (2, 3, 1)
-    with pytest.raises(ValueError):
-        cylinder_meta_index(6, 0, 0, 0)
+    # n = 2 runs ceil((1 + 7)/5) = 2 phases of five sub-phases
+    stages = list(cylinder_schedule(1.0, 1.0, 1.0, 0.2, 0.3, 2))
+    assert [stage[:2] for stage in stages] == [
+        (p, sub) for p in (1, 2) for sub in range(1, 6)]
+    keys = [tuple(int(k) for k in meta_index((5, 6, 7), exponents))
+            for *_, exponents in stages[:5]]
+    assert keys == [(5, 6, 7), (5, 6, 3), (5, 3, 3), (5, 3, 1), (2, 3, 1)]
+    # the sweep takes the sub-phase number, and rejects one outside 1..5
+    grid = stages[0][2]
+    for sub in (0, -1, 6):
+        with pytest.raises(ValueError, match="subphase must be in 1..5"):
+            cylinder_sweep(grid, sub)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10**6, 10**12])
+def test_cylinder_schedule_doubles_cell_up_to_4rho(n):
+    # point-free: five sub-phases per phase on one grid, and each phase's
+    # cell twice the previous one until it is held at exactly 4*rho
+    rho = 0.3
+    ell, _ = ell_for_n_3d(1.0, 1.0, 1.0, rho, n)
+    stages = list(cylinder_schedule(1.0, 1.0, 1.0, rho, ell, n))
+    n_phases = math.ceil((math.log2(n) + 7.0) / 5.0) if n > 1 else 1
+    assert [stage[:2] for stage in stages] == [
+        (p, sub) for p in range(1, n_phases + 1) for sub in range(1, 6)]
+    grids = [stage[2] for stage in stages[::5]]
+    assert all(stage[2] is grids[stage[0] - 1] for stage in stages)
+    cells = [grid.spec.ell for grid in grids]
+    assert cells[0] == ell
+    for before, after in zip(cells, cells[1:]):
+        assert after == min(2.0 * before, 4.0 * rho)
+    assert max(cells) <= 4.0 * rho
 
 
 def test_ell_for_n_solves_area_equation():

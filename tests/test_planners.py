@@ -12,8 +12,9 @@ from oracles import brute_force_walk
 
 from ditsp.etsp import PointSet
 from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
-                            bead_sweep, cylinder_meta_index, cylinder_sweep,
-                            ell_for_n, ell_for_n_3d)
+                            bead_meta_exponents, bead_schedule, bead_sweep,
+                            cylinder_schedule, cylinder_sweep, ell_for_n,
+                            ell_for_n_3d, meta_index)
 from ditsp.planners import (Tour, _serve_and_order, greedy_cleanup,
                             rec_bta, rec_cca, stop_go_stop)
 from ditsp.rng import substream
@@ -75,6 +76,21 @@ def test_rec_bta_phase_count_and_meta_sizes():
     assert [r.meta_size for r in reports] == [2**i for i in range(len(reports))]
 
 
+@pytest.mark.parametrize("n", [10**3, 10**4])
+def test_rec_bta_total_is_point_free_schedule_sum(n):
+    # uniform inputs leave no targets to the cleanup, and every phase
+    # charges every meta-row, so the total depends on n alone: the sum of
+    # the schedule's sweeps over the speed cap, bit for bit
+    ps = PointSet(points=substream(1006, n, 0).uniform(size=(n, 2)))
+    tour, reports = rec_bta(ps, PARAMS)
+    assert reports[-1].leftover_after == 0
+    ell, _ = ell_for_n(1.0, 1.0, PARAMS.turn_radius, n)
+    stages = bead_schedule(1.0, 1.0, PARAMS.turn_radius, ell, n)
+    assert tour.total_time == math.fsum(
+        bead_sweep(grid, phase).length / PARAMS.r_vel
+        for phase, _, grid, _ in stages)
+
+
 def test_rec_bta_leftover_nonincreasing():
     ps = _uniform_pset(5000, 3)
     _, reports = rec_bta(ps, PARAMS)
@@ -87,15 +103,15 @@ def test_rec_bta_serves_at_most_one_per_meta_cell_per_phase():
     ps = _uniform_pset(n, 4)
     rho = PARAMS.turn_radius
     ell, _ = ell_for_n(1.0, 1.0, rho, n)
-    grid = BeadGrid(1.0, 1.0, BeadSpec.create(rho, ell))
-    rows, cols = grid.cell_index(ps.points)
+    stages = list(bead_schedule(1.0, 1.0, rho, ell, n))
+    rows, cols = stages[0][2].cell_index(ps.points)
     tour, reports = rec_bta(ps, PARAMS)
-    served = np.ones(n, dtype=bool)
+    assert [r.phase for r in reports] == [stage[0] for stage in stages]
     pos = 0
-    for r in reports:
+    for r, (*_, exponents) in zip(reports, stages):
         batch = tour.visit_order[pos:pos + r.served]
         pos += r.served
-        mr, mc = grid.meta_index(r.phase, rows[batch], cols[batch])
+        mr, mc = meta_index((rows[batch], cols[batch]), exponents)
         keys = set(zip(mr.tolist(), mc.tolist()))
         assert len(keys) == r.served  # one served target per meta-cell
 
@@ -215,14 +231,14 @@ def test_rec_cca_chunks_layer_major_top_down(params):
     tour, reports = rec_cca(ps, params)
     rho = params.turn_radius
     ell0, _ = ell_for_n_3d(1.0, 1.0, 1.0, rho, n)
+    stages = list(cylinder_schedule(1.0, 1.0, 1.0, rho, ell0, n))
+    assert len(stages) == len(reports)
     pos = 0
-    for r in reports:
+    for r, (phase, sub, grid, exponents) in zip(reports, stages):
+        assert (r.phase, r.subphase) == (phase, sub)
         batch = tour.visit_order[pos:pos + r.served]
         pos += r.served
-        ell_p = min(2.0 ** (r.phase - 1) * ell0, 4.0 * rho)
-        grid = CylinderGrid(1.0, 1.0, 1.0, CylinderSpec.create(rho, ell_p))
-        ml, mr, _ = cylinder_meta_index(r.subphase,
-                                        *grid.cell_index(ps.points[batch]))
+        ml, mr, _ = meta_index(grid.cell_index(ps.points[batch]), exponents)
         steps = list(zip(ml.tolist(), (-mr).tolist()))
         assert steps == sorted(steps)
 
@@ -440,11 +456,13 @@ def test_sweep_planners_peak_memory_and_zero_shift_keys():
         assert peak <= 4.5 * pset.points.nbytes, (plan.__name__, peak)
     # a column whose exponent is 0 is the caller's own object
     rows, cols = np.arange(5), np.arange(5, 10)
-    grid = BeadGrid(1.0, 1.0, BeadSpec.create(0.05, 0.1))
-    assert all(a is b for a, b in zip(grid.meta_index(1, rows, cols), (rows, cols)))
-    assert grid.meta_index(2, rows, cols)[0] is rows
-    assert grid.meta_index(3, rows, cols)[0] is not rows
+    assert all(a is b for a, b in zip(meta_index((rows, cols),
+                                                 bead_meta_exponents(1)),
+                                      (rows, cols)))
+    assert meta_index((rows, cols), bead_meta_exponents(2))[0] is rows
+    assert meta_index((rows, cols), bead_meta_exponents(3))[0] is not rows
+    stages = list(cylinder_schedule(1.0, 1.0, 1.0, 0.2, 0.3, 1))
     for sub, same in ((1, (True, True, True)), (2, (True, True, False)),
                       (5, (False, False, False))):
-        keys = cylinder_meta_index(sub, rows, cols, rows)
+        keys = meta_index((rows, cols, rows), stages[sub - 1][3])
         assert tuple(k is c for k, c in zip(keys, (rows, cols, rows))) == same
