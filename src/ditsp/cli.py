@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import astuple
@@ -262,8 +263,16 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     return root
 
 
+@functools.cache
+def _plain_parser() -> argparse.ArgumentParser:
+    """The parser without a config, built once: building it takes about
+    1.5 ms, and parsing leaves it as it was.  A ``--config`` parser takes
+    the file's values as defaults, so each is built anew."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _plain_parser().parse_args(argv)
     if args.config:
         # parse again with the file's values as defaults, so every flag given
         # on the command line, in any spelling, wins

@@ -21,9 +21,12 @@ def _load_ckdtree():
     which loads qhull, ``distance``, ``transform``, ``scipy.linalg``,
     ``scipy.special`` and ``scipy.constants``: about 15 MiB and 0.1 s of
     import that no tour uses.  The extension, ``scipy.spatial._ckdtree``,
-    needs only ``scipy.sparse``.  It goes into ``sys.modules`` under its own
-    name before it runs, so a later ``import scipy.spatial`` reuses this
-    module and its class, and never loads the extension twice.
+    needs only ``scipy.sparse``.  It sits in ``sys.modules`` under its own
+    name while it runs, and leaves once its class is taken: the import
+    system sets a package's attribute only when it loads the submodule, so
+    a later ``import scipy.spatial`` loads it again, gets the same module
+    object back from the extension, and binds ``scipy.spatial._ckdtree``
+    and the same ``cKDTree``.
     """
     name = "scipy.spatial._ckdtree"
     module = sys.modules.get(name)
@@ -33,7 +36,10 @@ def _load_ckdtree():
             name, package.submodule_search_locations)
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
-        spec.loader.exec_module(module)
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            del sys.modules[name]
     return module.cKDTree
 
 

@@ -145,28 +145,29 @@ class BeadGrid:
         return (col * self.spec.ell + row * self.spec.ell / 2.0,
                 row * self.spec.w / 2.0)
 
-    def cell_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Owning cell ``(row, col)`` for each point of an (n, 2) array.
-
-        A grid whose indices do not fit int64 is a ``ValueError``
-        (:func:`_check_reach`)."""
-        _check_reach(self)
-        pts = np.atleast_2d(points)
+    def cell_index(self, points: np.ndarray, index=None, out=None):
+        """Owning cell ``(row, col)`` of each point of an (n, 2) array, or of
+        ``points[index]``, as :func:`_lookup` writes them."""
         a = self.spec.ell / 2.0
         b = self.spec.w / 2.0
-        # in place: p, q = x/a +- y/b; P, Q = 2*round(p/2), 2*round(q/2);
-        # col = Q/2, row = (P - Q)/2
-        p = pts[:, 0] / a
-        q = pts[:, 1] / b
-        p, q = p + q, np.subtract(p, q, out=q)
-        for r in (p, q):
-            r /= 2.0
-            np.round(r, out=r)
-            r *= 2.0
-        p -= q
-        p /= 2.0
-        q /= 2.0
-        return p.astype(np.int64), q.astype(np.int64)
+
+        def lookup(pts, row, col):
+            # in place: p, q = x/a +- y/b; P, Q = 2*round(p/2), 2*round(q/2);
+            # col = Q/2, row = (P - Q)/2
+            p = pts[:, 0] / a
+            q = pts[:, 1] / b
+            p, q = p + q, np.subtract(p, q, out=q)
+            for r in (p, q):
+                r /= 2.0
+                np.round(r, out=r)
+                r *= 2.0
+            p -= q
+            p /= 2.0
+            q /= 2.0
+            row[:] = p
+            col[:] = q
+
+        return _lookup(self, points, index, out, lookup)
 
     def cells(self):
         """Iterate ``(row, col)`` over all cells intersecting the rectangle."""
@@ -229,30 +230,32 @@ class CylinderGrid:
         z = layer * rad
         return y, z
 
-    def cell_index(self, points: np.ndarray):
-        """Owning cell ``(layer, row, col)`` for each point of an (n, 3) array.
+    def cell_index(self, points: np.ndarray, index=None, out=None):
+        """Owning cell ``(layer, row, col)`` of each point of an (n, 3)
+        array, or of ``points[index]``, as :func:`_lookup` writes them."""
+        ell, rad, last = self.spec.ell, self.spec.radius, self.n_cols - 1
 
-        A grid whose indices do not fit int64 is a ``ValueError``
-        (:func:`_check_reach`)."""
-        _check_reach(self)
-        pts = np.atleast_2d(points)
-        col = np.floor(pts[:, 0] / self.spec.ell).astype(np.int64)
-        np.clip(col, 0, self.n_cols - 1, out=col)
-        # in place, from u = y/radius and v = z/radius: s, t = (u + v)/2 -
-        # 1/2 and (v - u)/2 - 1/2 rounded up, which rounds half down: ties
-        # go to the lowest (layer, row); layer = s + t, row = layer//2 - t
-        s = pts[:, 1] / self.spec.radius
-        t = pts[:, 2] / self.spec.radius
-        s, t = s + t, np.subtract(t, s, out=t)
-        for h in (s, t):
-            h /= 2.0
-            h -= 0.5
-            np.ceil(h, out=h)
-        layer, t = s.astype(np.int64), t.astype(np.int64)
-        del s
-        layer += t
-        t -= layer // 2
-        return layer, np.negative(t, out=t), col
+        def lookup(pts, layer, row, col):
+            x = pts[:, 0] / ell
+            np.floor(x, out=x)
+            col[:] = np.clip(x, 0, last, out=x)
+            # in place, from u = y/radius and v = z/radius: s, t = (u + v)/2
+            # - 1/2 and (v - u)/2 - 1/2 rounded up, which rounds half down:
+            # ties go to the lowest (layer, row); layer = s + t, row =
+            # layer//2 - t
+            s = pts[:, 1] / rad
+            t = pts[:, 2] / rad
+            s, t = s + t, np.subtract(t, s, out=t)
+            for h in (s, t):
+                h /= 2.0
+                h -= 0.5
+                np.ceil(h, out=h)
+            layer[:] = s
+            row[:] = t
+            layer += row
+            np.subtract(layer // 2, row, out=row)
+
+        return _lookup(self, points, index, out, lookup)
 
 
 # sub-phase aggregation exponents (layers, rows, cols), in the order of the
@@ -381,6 +384,39 @@ def _check_reach(grid, cause: str | None = None) -> None:
                           "the workspace")
         raise ValueError(f"cell indices up to {grid.reach:.4g} do not fit "
                          f"int64: {cause}")
+
+
+# points per chunk of the lookups and of the sweep tours' passes over their
+# targets: a chunk's temporaries take a few hundred KiB, whatever n
+CHUNK = 1 << 14
+
+
+def cell_dtype(grid) -> np.dtype:
+    """The integer type of ``grid``'s cell index columns: int32 while every
+    index up to ``grid.reach`` fits it, else int64."""
+    return np.dtype(np.int32 if grid.reach < 2**31 else np.int64)
+
+
+def _lookup(grid, points, index, out, lookup):
+    """Cell index columns of ``points``, or of ``points[index]``, computed
+    ``CHUNK`` points at a time by ``lookup(pts, *columns)``.
+
+    The columns are :func:`cell_dtype`'s, written into ``out`` when it is
+    given (one n-long column each) and returned; no n-long temporary is
+    made, nor a gathered copy of the points.  The indices of the points of
+    the grid's workspace fit the columns; a point far outside may not fit
+    int32.  A grid whose indices do not fit int64 is a ``ValueError``
+    (:func:`_check_reach`)."""
+    _check_reach(grid)
+    pts = np.atleast_2d(points)
+    n = len(pts) if index is None else len(index)
+    if out is None:
+        out = tuple(np.empty(n, cell_dtype(grid)) for _ in range(pts.shape[1]))
+    for a in range(0, n, CHUNK):
+        chunk = (pts[a:a + CHUNK] if index is None
+                 else np.take(pts, index[a:a + CHUNK], axis=0))
+        lookup(chunk, *(col[a:a + CHUNK] for col in out))
+    return out
 
 
 def _check_n(n: int):

@@ -28,9 +28,11 @@ import numpy as np
 from ditsp.etsp import (PointSet, _edge_lengths, etsp_tour, kd_neighbours,
                         nearest_walk)
 from ditsp.geometry import (
+    CHUNK,
     _check_dims,
     bead_schedule,
     bead_sweep,
+    cell_dtype,
     cylinder_schedule,
     cylinder_sweep,
     ell_for_n,
@@ -105,92 +107,151 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray):
     return nearest_walk(rows, len(rows) - 1, kd_neighbours(rows))
 
 
-def _group_key(cols, scale: int = 1) -> tuple[np.ndarray, list[int]]:
-    """One int64 per row of equal-length integer key columns, equal iff the
-    rows are, and the column spans.
+def _group_key(cells, row_top: int, exponents, key) -> list[int]:
+    """Write the sweep key of each of the m targets whose cell columns
+    ``[layer,] row, col`` are ``cells``, times m plus the target's position,
+    into the m-long int64 array ``key``; return the key's column spans.
 
-    Columns are offset to 0 and combined in mixed radix, first column most
-    significant, so the keys sort as the rows do lexicographically.  The keys
-    lie in ``[0, span)``, ``span`` the product of the column spans; a
-    ``ValueError`` names ``span`` and ``scale`` unless ``span * scale <
-    2**63``, the room a caller needs to multiply the keys by ``scale``.
-    Each column is reduced on its own: along axis 0 of a (1.5e5, 3) int64
-    array, ``min`` is about 30x slower.
-
-    Returns ``(key, widths)``, ``widths`` the spans (1 for empty columns).
+    A target's meta-cell is its cells aggregated by ``exponents``
+    (:func:`~ditsp.geometry.meta_index`), and its sweep key combines
+    ``(layer..., rank, col)`` in mixed radix, first column most significant,
+    each offset to 0 by the column's least meta index.  ``rank = row_top -
+    row`` counts meta-rows from the top, and on odd ranks the column is
+    reflected, its greatest meta index less it.  So the keys sort as the
+    sweep goes, serpentine within rows, and are equal iff the meta-cells
+    are.  The spans are those of the meta columns, from one ``min`` and one
+    ``max`` per cell column: a ValueError names their product ``span`` and
+    m unless ``span * m < 2**63``.  The keys are built ``CHUNK`` targets at
+    a time, in place; ``cells`` are not written.
     """
-    if len(cols[0]) == 0:
-        return np.empty(0, dtype=np.int64), [1] * len(cols)
-    lows = [col.min() for col in cols]
-    widths = [int(col.max()) - int(lo) + 1 for col, lo in zip(cols, lows)]
+    *layers, row, col = cells
+    m = len(col)
+    lows = [int(v) for v in meta_index([c.min() for c in cells], exponents)]
+    highs = [int(v) for v in meta_index([c.max() for c in cells], exponents)]
+    widths = [hi - lo + 1 for lo, hi in zip(lows, highs)]
     span = math.prod(widths)
-    if span * scale >= 2**63:
-        raise ValueError(f"key span {span} times {scale} is not below 2**63")
-    # one array, built in place: key * width + (col - lo) per column; int64
-    # arithmetic wraps, so the sum is exact whatever its intermediate values
-    key = np.subtract(cols[0], lows[0])
-    for col, lo, width in zip(cols[1:], lows[1:], widths[1:]):
-        key *= width
-        key += col
-        key -= lo
-    return key, widths
+    if span * m >= 2**63:
+        raise ValueError(f"key span {span} times {m} is not below 2**63")
+    *_, row_width, col_width = widths
+    flip = row_top & 1
+    chunk = min(m, CHUNK)
+    tmp, positions = np.empty(chunk, np.int64), np.arange(chunk)
+    # int64 arithmetic wraps, so each sum is exact whatever its
+    # intermediate values
+    for a in range(0, m, CHUNK):
+        k = key[a:a + CHUNK]
+        t = tmp[:len(k)]
+        *meta_layers, meta_row, meta_col = meta_index(
+            [c[a:a + CHUNK] for c in cells], exponents)
+        # the column, offset, then reflected where the rank is odd: there
+        # t = -1, and k ^ t = -k - 1, to which t & width adds the width
+        np.subtract(meta_col, lows[-1], out=k, dtype=np.int64)
+        np.bitwise_and(meta_row, 1, out=t, dtype=np.int64)
+        if flip:
+            t ^= 1
+        np.negative(t, out=t)
+        k ^= t
+        t &= col_width
+        k += t
+        # the layer and rank, offset, above it
+        if meta_layers:
+            np.subtract(meta_layers[0], lows[0], out=t, dtype=np.int64)
+            t *= row_width
+            t += highs[-2]
+            t -= meta_row
+        else:
+            np.subtract(highs[-2], meta_row, out=t, dtype=np.int64)
+        t *= col_width
+        k += t
+        k *= m
+        k += positions[:len(k)]
+        if a + CHUNK < m:
+            positions += CHUNK
+    return widths
 
 
-def _serve_and_order(keys, row_top: int):
+def _serve_and_order(cells, row_top: int, exponents=None, out=None):
     """Pick the oldest target of each meta-cell; return their positions in
     sweep order and a mask of the targets left unserved.
 
-    ``keys`` holds the columns ``[layer,] row, col`` of the m unserved
-    targets, oldest first, and is not written.  The sweep goes layer by
-    layer, rows from ``row_top`` down, serpentine within rows: its key over
-    ``(layer..., row_top - row, +-col)``, the column negated on odd ranks,
-    is a bijection of the meta-cell key.  One in-place sort of ``sweep_key
-    * m + position`` puts each meta-cell's targets in a run, oldest first,
-    and the runs in sweep order; a run's head is a served target.  This
-    needs ``(key span) * m < 2**63``, else a ``ValueError`` names both
+    ``cells`` holds the cell columns ``[layer,] row, col`` of the m
+    unserved targets, oldest first, and is not written; ``exponents``
+    aggregate them to meta-cells (none by default).  The sweep goes layer
+    by layer, rows from ``row_top`` down, serpentine within rows.
+    :func:`_group_key` writes each target's sweep key times m plus its
+    position into ``out``, an m-long int64 work space (a new one by
+    default); one in-place sort puts each meta-cell's targets in a run,
+    oldest first, and the runs in sweep order.  A run's head is a served
+    target, and the heads' positions go to the front of ``out``, in place.
+    This needs ``(key span) * m < 2**63``, else a ``ValueError`` names both
     numbers.  On 1e6 uniform points (``r_vel`` 0.1 and 0.3, unit workspace)
     the largest ``(key + 1) * m`` is 7.4e13 for :func:`rec_bta`, 8e-6 of
     2**63, and 6.5e12 for :func:`rec_cca`; in 2D it grows about as
     ``n**(7/3)``.
 
-    Returns ``(first, keep)``: the served positions in sweep order (index
-    ``keys`` with them) and an m-long mask, False at ``first``.  For 3D keys
-    it returns ``(first, keep, n_rows, n_layers)``, the counts of the
-    distinct (layer, row) pairs and layers among the served targets, taken
-    from the same sort.
+    Returns ``(first, keep)``: ``first`` the served positions in sweep
+    order, the front of ``out`` (index ``cells`` with them), and ``keep``
+    an m-long mask, False at ``first``.  For 3D cells it returns ``(first,
+    keep, n_rows, n_layers)``, the counts of the distinct (layer, meta-row)
+    pairs and layers among the served targets, taken from the same sort.
     """
-    *layers, row, col = keys
-    m = len(col)
-    rank = np.subtract(row_top, row)  # 0 for the top row
-    signed_col = np.bitwise_and(rank, 1)  # col * (1 - 2 * (rank & 1))
-    signed_col *= -2
-    signed_col += 1
-    signed_col *= col
-    key, widths = _group_key((*layers, rank, signed_col), m)
-    del rank, signed_col
-    key *= m
-    key += np.arange(m)
-    key.sort()
-    # a run starts where the sweep key changes; sweep keys are >= 0.  The
-    # m-long arrays go as soon as they are used, so the peak stays low
-    sweep = key // m
-    starts = np.ones(m, dtype=bool)
-    np.not_equal(sweep[1:], sweep[:-1], out=starts[1:])
-    del sweep
-    first = np.take(key, np.flatnonzero(starts))
-    del key, starts
-    sweep = first // m
-    first -= sweep * m
-    counts = []
+    m = len(cells[-1])
+    key = np.empty(m, np.int64) if out is None else out
     # 3D: floor-divided by the column span, then by the rank span too, the
-    # ascending heads' sweep keys hold one run per (layer, row), then per
-    # layer; they are >= 0, so -1 starts the first run
-    for width in widths[:0:-1] if layers else ():
-        sweep //= width
-        counts.append(int(np.count_nonzero(np.diff(sweep, prepend=-1))))
+    # heads' sweep keys hold one run per (layer, row), then per layer
+    widths = [1] * len(cells)
+    if m:
+        widths = _group_key(cells, row_top, exponents or (0,) * len(cells),
+                            key)
+        key.sort()
+    divisors = widths[:0:-1] if len(cells) == 3 else ()
     keep = np.ones(m, dtype=bool)
-    keep[first] = False
-    return first, keep, *counts
+    # the last head's sweep key, then its (layer, row) and layer keys, and
+    # the counts of the latter two; sweep keys are >= 0, so -1 starts a run
+    last = [-1] * (len(divisors) + 1)
+    counts = [0] * len(divisors)
+    served = 0
+    chunk = min(m, CHUNK)
+    sweeps, starts = np.empty(chunk, np.int64), np.empty(chunk, bool)
+    for a in range(0, m, CHUNK):
+        k = key[a:a + CHUNK]
+        sweep, start = sweeps[:len(k)], starts[:len(k)]
+        np.floor_divide(k, m, out=sweep)
+        start[0] = sweep[0] != last[0]
+        np.not_equal(sweep[1:], sweep[:-1], out=start[1:])
+        last[0] = sweep[-1]
+        if divisors:
+            level_key = sweep[start]
+            for level, width in enumerate(divisors, 1):
+                level_key //= width
+                if len(level_key):
+                    counts[level - 1] += int(np.count_nonzero(
+                        np.diff(level_key, prepend=last[level])))
+                    last[level] = level_key[-1]
+        # positions, then the heads' ones to the front: the chunk is read
+        sweep *= m
+        np.subtract(k, sweep, out=sweep)
+        first = key[served:served + np.count_nonzero(start)]
+        np.compress(start, sweep, out=first)
+        keep[first] = False
+        served += len(first)
+    return key[:served], keep, *counts
+
+
+def _compact(columns, keep, positions=None) -> int:
+    """Move the entries of each column where ``keep`` is True to its front,
+    in order, ``CHUNK`` at a time, and write their positions into
+    ``positions`` if given; returns their number."""
+    size = 0
+    for a in range(0, len(keep), CHUNK):
+        at = np.flatnonzero(keep[a:a + CHUNK])
+        for col in columns:
+            # taken before it is written: the front never passes the chunk
+            col[size:size + len(at)] = np.take(col[a:a + CHUNK], at)
+        if positions is not None:
+            np.add(at, a, out=positions[size:size + len(at)])
+        size += len(at)
+    return size
 
 
 def _check_workspace(pset: PointSet, dims) -> None:
@@ -218,38 +279,53 @@ def _sweep_tour(pset: PointSet, params: VehicleParams, schedule):
     at the speed cap: :func:`~ditsp.geometry.bead_sweep` when ``subphase``
     is None, else :func:`~ditsp.geometry.cylinder_sweep` over the occupied
     (layer, meta-row) pairs and layers.  Cells are looked up only when a
-    stage's grid is not the previous stage's, on the targets still unserved;
-    each stage compacts their ascending indices and cell columns with one
-    index.  A greedy stop-go cleanup from the origin completes the tour.
+    stage's grid is not the previous stage's, on the targets still
+    unserved, into the same columns.  A greedy stop-go cleanup from the
+    origin completes the tour.
+
+    One n-long int64 array is the visit order: the served targets fill it
+    from the front, and each stage sorts its keys in the free tail
+    (:func:`_serve_and_order`) and maps the heads there to targets.  Then it
+    compacts the unserved targets' ascending indices and cell columns in
+    place (:func:`_compact`).  The first stage serves from every target, so
+    its positions are the targets and it makes no index array.
     """
-    idx = np.arange(pset.n)
-    reports, visit_chunks = [], []
-    grid = None
+    n = pset.n
+    order = np.empty(n, dtype=np.int64)
+    served, idx, cells, grid = 0, None, None, None
+    reports = []
     for phase, sub, stage_grid, exponents in schedule:
         if stage_grid is not grid:
-            # the first stage serves from every target, so only later
-            # lookups gather
-            cells = stage_grid.cell_index(pset.points if grid is None else
-                                          np.take(pset.points, idx, axis=0))
+            if cells is not None and cells[0].dtype != cell_dtype(stage_grid):
+                cells = None
+            cells = stage_grid.cell_index(pset.points, idx, cells)
             grid = stage_grid
         first, keep, *counts = _serve_and_order(
-            meta_index(cells, exponents), grid.row_max >> exponents[-2])
-        visit_chunks.append(idx[first])
-        rest = np.flatnonzero(keep)
-        idx, *cells = (np.take(v, rest) for v in (idx, *cells))
+            cells, grid.row_max >> exponents[-2], exponents, order[served:])
+        if idx is None:
+            idx = np.empty(len(keep) - len(first), dtype=np.int64)
+            left = _compact(cells, keep, idx)
+        else:
+            for a in range(0, len(first), CHUNK):
+                np.take(idx, first[a:a + CHUNK], out=first[a:a + CHUNK])
+            left = _compact((*cells, idx), keep)
+        del keep  # before the next stage makes its own
+        served += len(first)
+        idx, *cells = (v[:left] for v in (idx, *cells))
         sweep = (bead_sweep(grid, phase) if sub is None
                  else cylinder_sweep(grid, sub, *counts))
         reports.append(PhaseReport(
             phase=phase, meta_size=1 << sum(exponents),
             cells_traversed=sweep.n_rows * sweep.n_cols, served=len(first),
-            leftover_after=len(idx), length=sweep.length, subphase=sub))
+            leftover_after=left, length=sweep.length, subphase=sub))
 
-    legs, clean_order = greedy_cleanup(pset.points[idx], np.zeros(pset.d))
-    visit_chunks.append(idx[clean_order])
+    legs, clean_order = greedy_cleanup(np.take(pset.points, idx, axis=0),
+                                       np.zeros(pset.d))
+    np.take(idx, clean_order, out=order[served:])
     rows = [(r.length, r.length / params.r_vel) for r in reports]
     return Tour(segments=np.vstack((np.reshape(rows, (-1, 2)),
                                     _leg_rows(legs, params))),
-                visit_order=np.concatenate(visit_chunks)), reports
+                visit_order=order), reports
 
 
 def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.0):

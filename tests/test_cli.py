@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ditsp
+from ditsp import cli
 from ditsp.cli import main
 from ditsp.harness import (TOUR_CSV_FIELDS, ExperimentConfig, run_experiment,
                            write_tour_csv)
@@ -268,6 +269,25 @@ def test_later_scipy_spatial_reuses_the_kd_tree_extension():
     assert _run_fresh("import ditsp.etsp, scipy.spatial; "
                       "print(ditsp.etsp.cKDTree is scipy.spatial.cKDTree)"
                       ) == "True"
+
+
+def test_main_reuses_one_parser_and_no_values(capsys):
+    # the config-free parser is built once; no call's flags reach the next
+    main(["bounds"])
+    plain = capsys.readouterr().out
+    main(["--seed", "3", "bounds", "--n", "50", "--W", "2"])
+    assert capsys.readouterr().out != plain
+    main(["bounds"])
+    assert capsys.readouterr().out == plain
+    assert cli._plain_parser.cache_info().currsize == 1
+
+
+def test_kd_tree_extension_stays_reachable_by_its_scipy_attribute():
+    # ditsp's lone load of the extension leaves no entry behind that would
+    # keep a later import from binding scipy.spatial._ckdtree
+    assert _run_fresh("import ditsp.etsp, scipy.spatial._ckdtree; "
+                      "print(scipy.spatial._ckdtree.cKDTree "
+                      "is ditsp.etsp.cKDTree)") == "True"
 
 
 @pytest.mark.parametrize("flag", [["--n=7"], ["--n", "7"]])

@@ -1,6 +1,7 @@
 """Cell geometry, tiling/covering lookups, and cell-size solvers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from oracles import bead_contains, covers, sample_in_bead
 from ditsp import bounds, dtrp, geometry
 from ditsp.dtrp import DtrpConfig, _size_cell, predicted_system_time
 from ditsp.etsp import PointSet, worst_case_grid
-from ditsp.geometry import (MAX_TURN_RATIO, MIN_TURN_RATIO, BeadGrid, BeadSpec, CylinderGrid,
-                            CylinderSpec, bead_area, bead_meta_exponents, bead_schedule,
-                            bead_sweep, bead_width, cylinder_schedule, cylinder_sweep,
-                            cylinder_volume, ell_for_n, ell_for_n_3d, meta_index)
+from ditsp.geometry import (CHUNK, MAX_TURN_RATIO, MIN_TURN_RATIO, BeadGrid, BeadSpec,
+                            CylinderGrid, CylinderSpec, bead_area, bead_meta_exponents,
+                            bead_schedule, bead_sweep, bead_width, cell_dtype,
+                            cylinder_schedule, cylinder_sweep, cylinder_volume, ell_for_n,
+                            ell_for_n_3d, meta_index)
 from ditsp.harness import ExperimentConfig
 from ditsp.planners import rec_bta, rec_cca
 from ditsp.rng import substream
@@ -430,6 +432,49 @@ def test_lookups_match_reference_and_stay_within_reach(seed, rho, ell_frac, W,
         got, want = grid.cell_index(pts), reference(grid, pts)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert max(int(np.abs(g).max()) for g in got) <= grid.reach
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_lookups_match_reference_across_a_chunk(n):
+    rng = substream(7, 8, n)
+    for box, grid, reference in (
+            ((1.0, 0.5), BeadGrid(1.0, 0.5, BeadSpec.create(0.01, 0.03)),
+             _bead_lookup_reference),
+            ((1.0, 0.5, 0.25), CylinderGrid(1.0, 0.5, 0.25, CylinderSpec.create(
+                0.05, 0.15)), _cylinder_lookup_reference)):
+        pts = rng.uniform(size=(n, len(box))) * box
+        got, want = grid.cell_index(pts), reference(grid, pts)
+        assert all(g.dtype == np.int32 and np.array_equal(g, w)
+                   for g, w in zip(got, want))
+        # gathered through an index, into the caller's columns
+        index = rng.permutation(n)
+        out = tuple(np.full(n, -7, dtype=np.int32) for _ in box)
+        assert grid.cell_index(pts, index, out) is out
+        assert all(np.array_equal(o, w[index]) for o, w in zip(out, want))
+
+
+def test_cell_columns_are_int32_below_reach_2_31_else_int64():
+    assert cell_dtype(SimpleNamespace(reach=2.0**31 - 1)) == np.int32
+    assert cell_dtype(SimpleNamespace(reach=2.0**31)) == np.int64
+    # cells of 4e-10 and 1e-9: indices up to 5e9 and 4e9
+    rng = substream(7, 9)
+    for small, large, reference in (
+            (BeadGrid(1.0, 1.0, BeadSpec.create(0.01, 0.02)),
+             BeadGrid(1.0, 1.0, BeadSpec.create(1e-10, 4e-10)),
+             _bead_lookup_reference),
+            (CylinderGrid(1.0, 1.0, 1.0, CylinderSpec.create(0.01, 0.02)),
+             CylinderGrid(1.0, 1.0, 1.0, CylinderSpec.create(2.5e-10, 1e-9)),
+             _cylinder_lookup_reference)):
+        assert small.reach < 2**31 <= large.reach
+        d = 2 if isinstance(small, BeadGrid) else 3
+        pts = np.vstack((np.zeros(d), np.ones(d), rng.uniform(size=(100, d))))
+        for grid, dtype in ((small, np.int32), (large, np.int64)):
+            got = grid.cell_index(pts)
+            assert cell_dtype(grid) == dtype
+            assert all(g.dtype == dtype for g in got)
+            assert all(np.array_equal(g, w)
+                       for g, w in zip(got, reference(grid, pts)))
+        assert max(int(np.abs(g).max()) for g in large.cell_index(pts)) > 2**31
 
 
 def test_lookup_rejects_a_grid_past_int64():

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from oracles import brute_force_walk
 
 from ditsp.etsp import PointSet
-from ditsp.geometry import (BeadGrid, BeadSpec, CylinderGrid, CylinderSpec,
-                            bead_meta_exponents, bead_schedule, bead_sweep,
-                            cylinder_schedule, cylinder_sweep, ell_for_n,
-                            ell_for_n_3d, meta_index)
+from ditsp.geometry import (CHUNK, BeadGrid, BeadSpec, CylinderGrid,
+                            CylinderSpec, bead_meta_exponents, bead_schedule,
+                            bead_sweep, cylinder_schedule, cylinder_sweep,
+                            ell_for_n, ell_for_n_3d, meta_index)
 from ditsp.planners import (Tour, _serve_and_order, greedy_cleanup,
                             rec_bta, rec_cca, stop_go_stop)
 from ditsp.rng import substream
@@ -404,34 +404,61 @@ def test_serve_and_order_rejects_key_span_past_int64():
         _serve_and_order((np.zeros(4, np.int64), cols), 0)
 
 
+def _rows(n, seed, spread=3):
+    """n random key rows with ages, as the strategy below draws them."""
+    rng = substream(29, n, seed)
+    cells = rng.integers(-spread, spread + 1, size=(n, 3))
+    return [(*c, a) for c, a in zip(cells.tolist(),
+                                    rng.integers(1, 4, size=n).tolist())]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4),
                           st.integers(-5, 5), st.integers(1, 3)), max_size=200),
-       st.integers(2, 3), st.integers(-4, 6))
-@example(rows=[(0, 0, 0, 1)] * 40 + [(0, 1, 0, 1)] * 40, k=2, row_top=1)
-@example(rows=[], k=3, row_top=0)  # 3D counts (0, 0)
-@example(rows=[(2, -1, 3, 1)], k=3, row_top=0)  # 3D counts (1, 1)
-def test_serve_and_order_matches_dict_and_sorted(rows, k, row_top):
+       st.integers(2, 3), st.integers(-4, 6),
+       st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
+@example(rows=[(0, 0, 0, 1)] * 40 + [(0, 1, 0, 1)] * 40, k=2, row_top=1,
+         exponents=(0, 0, 0))
+@example(rows=[], k=3, row_top=0, exponents=(0, 0, 0))  # 3D counts (0, 0)
+@example(rows=[(2, -1, 3, 1)], k=3, row_top=0,
+         exponents=(0, 0, 0))  # 3D counts (1, 1)
+# sizes that straddle a chunk of the key and head passes, and runs longer
+# than a chunk: one meta-cell, and two whose border is past the first chunk
+@example(rows=_rows(CHUNK - 1, 0), k=2, row_top=1, exponents=(0, 0, 0))
+@example(rows=_rows(CHUNK, 1), k=3, row_top=2, exponents=(0, 1, 1))
+@example(rows=_rows(CHUNK + 1, 2), k=3, row_top=-1, exponents=(0, 0, 0))
+@example(rows=_rows(2 * CHUNK + 3, 3, 40), k=2, row_top=5, exponents=(0, 1, 0))
+@example(rows=[(0, 0, 0, 1)] * (CHUNK + 1), k=3, row_top=0,
+         exponents=(0, 0, 0))
+@example(rows=[(1, 2, 3, 1)] * (CHUNK + 5) + [(1, 2, 4, 2)] * 9, k=3,
+         row_top=0, exponents=(0, 0, 0))
+def test_serve_and_order_matches_dict_and_sorted(rows, k, row_top, exponents):
     # small index ranges: many targets share a meta-cell; gapped ascending
     # ages, as the planners keep them
     keys = np.array([r[3 - k:3] for r in rows], dtype=np.int64).reshape(-1, k)
+    exponents = exponents[3 - k:]
     idx = np.cumsum([r[3] for r in rows], dtype=np.int64)
     oldest = {}
     for age, key in zip(idx.tolist(), map(tuple, keys.tolist())):
-        oldest.setdefault(key, age)
+        oldest.setdefault(tuple(v >> e for v, e in zip(key, exponents)), age)
 
     def sweep(key):
         rank = row_top - key[-2]
         return (*key[:-2], rank, key[-1] if rank % 2 == 0 else -key[-1])
 
     want = sorted(oldest.items(), key=lambda item: sweep(item[0]))
-    before = keys.copy()
-    first, keep, *counts = _serve_and_order(tuple(keys.T), row_top)
-    order, served_keys = idx[first], tuple(c[first] for c in keys.T)
+    # the planners' int32 cell columns; the keys go to a work space
+    cells = tuple(c.astype(np.int32) for c in keys.T)
+    out = np.full(len(keys), -1, dtype=np.int64)
+    first, keep, *counts = _serve_and_order(cells, row_top, exponents, out)
+    # the served positions are the work space's front, in sweep order
+    assert first.base is out and first.ctypes.data == out.ctypes.data
+    order = idx[first]
+    served_keys = meta_index(tuple(c[first] for c in keys.T), exponents)
     assert order.tolist() == [age for _, age in want]
     assert list(zip(*(c.tolist() for c in served_keys))) == [key for key, _ in want]
     assert idx[~keep].tolist() == sorted(oldest.values())
-    assert np.array_equal(keys, before)
+    assert all(np.array_equal(c, v) for c, v in zip(cells, keys.T))
     # 3D keys also count the distinct (layer, row) pairs and layers; 2D
     # keys count nothing
     want_counts = [len({key[:-1] for key in oldest}),
@@ -440,20 +467,23 @@ def test_serve_and_order_matches_dict_and_sorted(rows, k, row_top):
 
 
 def test_sweep_planners_peak_memory_and_zero_shift_keys():
-    # each (sub-)phase keeps only the unserved targets' indices and cell
-    # columns, and the keys are built in place: one call's traced peak
-    # stays within 4.5x the points' bytes (6.1x and 5.5x when every phase
-    # worked over all n targets)
-    for plan, params, d in ((rec_bta, PARAMS, 2),
-                            (rec_cca, VehicleParams(r_vel=0.3, r_ctr=1.0), 3)):
-        pset = _uniform_pset(20_000, 4, d)
+    # one n-long int64 array is the visit order and every stage's keys, the
+    # cell columns are int32 and compacted in place, and the other passes
+    # work a chunk at a time: at the benchmark's 1.5e5 uniform points one
+    # call's traced peak is 1.27x the points' bytes for rec_bta and 1.02x
+    # for rec_cca (3.00x and 2.48x with n-long temporaries); the bounds
+    # leave about 10%
+    for plan, params, d, bound in (
+            (rec_bta, PARAMS, 2, 1.4),
+            (rec_cca, VehicleParams(r_vel=0.3, r_ctr=1.0), 3, 1.12)):
+        pset = _uniform_pset(150_000, 4, d)
         tracemalloc.start()
         try:
             plan(pset, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * pset.points.nbytes, (plan.__name__, peak)
+        assert peak <= bound * pset.points.nbytes, (plan.__name__, peak)
     # a column whose exponent is 0 is the caller's own object
     rows, cols = np.arange(5), np.arange(5, 10)
     assert all(a is b for a, b in zip(meta_index((rows, cols),
