@@ -12,7 +12,6 @@ stability for ``dtrp``, slope windows for ``scaling`` when requested).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -22,7 +21,7 @@ from ditsp.bounds import bound_set
 from ditsp.dtrp import DtrpConfig, run_bta, run_cca
 from ditsp.geometry import BeadGrid, BeadSpec, CylinderGrid, CylinderSpec
 from ditsp.harness import (ExperimentConfig, TOUR_CSV_FIELDS, fit_experiment,
-                           run_experiment)
+                           run_experiment, write_csv)
 from ditsp.vehicle import VehicleParams
 
 DTRP_CSV_FIELDS = ("policy", "lambda", "seed", "mean_system_time",
@@ -44,15 +43,8 @@ def _emit_obj(obj, out):
 def _emit(rows, fields, fmt, out):
     if fmt == "json":
         _emit_obj([dict(zip(fields, r)) for r in rows], out)
-        return
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
+    else:
+        write_csv(rows, fields, out)
 
 
 def _dims(args):

@@ -404,18 +404,26 @@ def _lookup(grid, points, index, out, lookup):
     The columns are :func:`cell_dtype`'s, written into ``out`` when it is
     given (one n-long column each) and returned; no n-long temporary is
     made, nor a gathered copy of the points.  The indices of the points of
-    the grid's workspace fit the columns; a point far outside may not fit
-    int32.  A grid whose indices do not fit int64 is a ``ValueError``
-    (:func:`_check_reach`)."""
+    the grid's workspace fit the columns; an index of a point far outside
+    that does not fit its column is a ``ValueError``, and so is a grid
+    whose indices do not fit int64 (:func:`_check_reach`)."""
     _check_reach(grid)
     pts = np.atleast_2d(points)
     n = len(pts) if index is None else len(index)
     if out is None:
         out = tuple(np.empty(n, cell_dtype(grid)) for _ in range(pts.shape[1]))
-    for a in range(0, n, CHUNK):
-        chunk = (pts[a:a + CHUNK] if index is None
-                 else np.take(pts, index[a:a + CHUNK], axis=0))
-        lookup(chunk, *(col[a:a + CHUNK] for col in out))
+    try:
+        # for finite points, the one invalid operation is a cast of an
+        # index past its column's type
+        with np.errstate(invalid="raise"):
+            for a in range(0, n, CHUNK):
+                chunk = (pts[a:a + CHUNK] if index is None
+                         else np.take(pts, index[a:a + CHUNK], axis=0))
+                lookup(chunk, *(col[a:a + CHUNK] for col in out))
+    except FloatingPointError:
+        raise ValueError(f"a cell index does not fit the {out[0].dtype} "
+                         "cell columns: a point lies far outside the "
+                         "workspace") from None
     return out
 
 

@@ -8,9 +8,11 @@ bitwise identical for any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -21,8 +23,6 @@ from ditsp.planners import stop_go_stop
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
 
-TOUR_CSV_FIELDS = ("algo", "n", "seed", "total_time", "total_length",
-                   "leftover_after_phases", "phase_count")
 ALGOS = ("sgs", "sgs_grid", "rec_bta", "rec_cca")
 
 
@@ -64,6 +64,9 @@ class TrialResult:
     total_length: float
     leftover_after_phases: int
     phase_count: int
+
+
+TOUR_CSV_FIELDS = tuple(f.name for f in fields(TrialResult))
 
 
 @dataclass(frozen=True)
@@ -143,9 +146,16 @@ def fit_experiment(results) -> FitResult:
     return fit_scaling(ns, means)
 
 
+def write_csv(rows, header, out=None):
+    """Write ``header`` and ``rows`` as CSV to the file ``out``, or to
+    stdout: the one CSV writer of the tour and DTRP rows."""
+    with (open(out, "w", newline="") if out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_tour_csv(results, path):
     """Emit trial rows with the standard tour header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TOUR_CSV_FIELDS)
-        writer.writerows(astuple(r) for r in results)
+    write_csv(map(astuple, results), TOUR_CSV_FIELDS, path)

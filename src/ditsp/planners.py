@@ -107,53 +107,71 @@ def greedy_cleanup(points: np.ndarray, start: np.ndarray):
     return nearest_walk(rows, len(rows) - 1, kd_neighbours(rows))
 
 
-def _group_key(cells, row_top: int, exponents, key) -> list[int]:
-    """Write the sweep key of each of the m targets whose cell columns
-    ``[layer,] row, col`` are ``cells``, times m plus the target's position,
-    into the m-long int64 array ``key``; return the key's column spans.
+def _serve_and_order(cells, idx, row_top: int, exponents, out):
+    """Serve one (sub-)phase: the oldest unserved target of each occupied
+    meta-cell, in sweep order; then compact the targets left unserved.
 
-    A target's meta-cell is its cells aggregated by ``exponents``
-    (:func:`~ditsp.geometry.meta_index`), and its sweep key combines
-    ``(layer..., rank, col)`` in mixed radix, first column most significant,
-    each offset to 0 by the column's least meta index.  ``rank = row_top -
-    row`` counts meta-rows from the top, and on odd ranks the column is
-    reflected, its greatest meta index less it.  So the keys sort as the
-    sweep goes, serpentine within rows, and are equal iff the meta-cells
-    are.  The spans are those of the meta columns, from one ``min`` and one
-    ``max`` per cell column: a ValueError names their product ``span`` and
-    m unless ``span * m < 2**63``.  The keys are built ``CHUNK`` targets at
-    a time, in place; ``cells`` are not written.
+    ``cells`` holds the cell columns ``[layer,] row, col`` of the m
+    unserved targets, oldest first, and ``idx`` their ascending indices
+    (None when they are all the targets, whose positions are then their
+    indices); ``exponents`` aggregate cells to meta-cells
+    (:func:`~ditsp.geometry.meta_index`).  The sweep goes layer by layer,
+    rows from ``row_top`` down, serpentine within rows: a target's sweep
+    key combines ``(layer..., rank, col)`` in mixed radix, first column
+    most significant, each offset to 0 by the column's least meta index,
+    with ``rank = row_top - row`` and, on odd ranks, the column reflected
+    (its greatest meta index less it).  So the keys sort as the sweep goes
+    and are equal iff the meta-cells are.
+
+    ``out`` is an m-long int64 work space.  Each target's sweep key times m
+    plus its position is written there ``CHUNK`` targets at a time; one
+    in-place sort puts each meta-cell's targets in a run, oldest first, and
+    the runs in sweep order.  A run's head is served, and its target goes
+    to the front of ``out``, in place.  This needs ``(key span) * m <
+    2**63``, the span the product of the meta columns' spans, else a
+    ``ValueError`` names both numbers.  On 1e6 uniform points (``r_vel``
+    0.1 and 0.3, unit workspace) the largest ``(key + 1) * m`` is 7.4e13
+    for :func:`rec_bta`, 8e-6 of 2**63, and 6.5e12 for :func:`rec_cca`; in
+    2D it grows about as ``n**(7/3)``.  Last, the unserved targets' indices
+    and cell entries move to the front of their columns, in order, ``CHUNK``
+    at a time (phase 1 makes the index column).
+
+    Returns ``(first, idx, cells)``: the served targets in sweep order, the
+    front of ``out``, and the unserved targets' indices and cell columns.
+    For 3D cells it returns ``(first, idx, cells, n_rows, n_layers)``, the
+    counts of the distinct (layer, meta-row) pairs and layers among the
+    served targets, taken from the same sort.
     """
-    *layers, row, col = cells
-    m = len(col)
+    m = len(cells[-1])
+    if not m:
+        return out[:0], idx, cells, *((0, 0) if len(cells) == 3 else ())
     lows = [int(v) for v in meta_index([c.min() for c in cells], exponents)]
     highs = [int(v) for v in meta_index([c.max() for c in cells], exponents)]
     widths = [hi - lo + 1 for lo, hi in zip(lows, highs)]
     span = math.prod(widths)
     if span * m >= 2**63:
         raise ValueError(f"key span {span} times {m} is not below 2**63")
-    *_, row_width, col_width = widths
-    flip = row_top & 1
-    chunk = min(m, CHUNK)
-    tmp, positions = np.empty(chunk, np.int64), np.arange(chunk)
+    row_width, col_width = widths[-2:]
+    tmp, positions = np.empty(min(m, CHUNK), np.int64), np.arange(min(m, CHUNK))
     # int64 arithmetic wraps, so each sum is exact whatever its
     # intermediate values
     for a in range(0, m, CHUNK):
-        k = key[a:a + CHUNK]
+        k = out[a:a + CHUNK]
         t = tmp[:len(k)]
         *meta_layers, meta_row, meta_col = meta_index(
             [c[a:a + CHUNK] for c in cells], exponents)
-        # the column, offset, then reflected where the rank is odd: there
-        # t = -1, and k ^ t = -k - 1, to which t & width adds the width
+        # the column, offset, then reflected where the rank is odd:
+        # there t = -1, and k ^ t = -k - 1, to which t & width adds
+        # the width
         np.subtract(meta_col, lows[-1], out=k, dtype=np.int64)
         np.bitwise_and(meta_row, 1, out=t, dtype=np.int64)
-        if flip:
+        if row_top & 1:
             t ^= 1
         np.negative(t, out=t)
         k ^= t
         t &= col_width
         k += t
-        # the layer and rank, offset, above it
+        # the layer and rank, offset, above it; then the position
         if meta_layers:
             np.subtract(meta_layers[0], lows[0], out=t, dtype=np.int64)
             t *= row_width
@@ -164,94 +182,60 @@ def _group_key(cells, row_top: int, exponents, key) -> list[int]:
         t *= col_width
         k += t
         k *= m
+        k += a
         k += positions[:len(k)]
-        if a + CHUNK < m:
-            positions += CHUNK
-    return widths
-
-
-def _serve_and_order(cells, row_top: int, exponents=None, out=None):
-    """Pick the oldest target of each meta-cell; return their positions in
-    sweep order and a mask of the targets left unserved.
-
-    ``cells`` holds the cell columns ``[layer,] row, col`` of the m
-    unserved targets, oldest first, and is not written; ``exponents``
-    aggregate them to meta-cells (none by default).  The sweep goes layer
-    by layer, rows from ``row_top`` down, serpentine within rows.
-    :func:`_group_key` writes each target's sweep key times m plus its
-    position into ``out``, an m-long int64 work space (a new one by
-    default); one in-place sort puts each meta-cell's targets in a run,
-    oldest first, and the runs in sweep order.  A run's head is a served
-    target, and the heads' positions go to the front of ``out``, in place.
-    This needs ``(key span) * m < 2**63``, else a ``ValueError`` names both
-    numbers.  On 1e6 uniform points (``r_vel`` 0.1 and 0.3, unit workspace)
-    the largest ``(key + 1) * m`` is 7.4e13 for :func:`rec_bta`, 8e-6 of
-    2**63, and 6.5e12 for :func:`rec_cca`; in 2D it grows about as
-    ``n**(7/3)``.
-
-    Returns ``(first, keep)``: ``first`` the served positions in sweep
-    order, the front of ``out`` (index ``cells`` with them), and ``keep``
-    an m-long mask, False at ``first``.  For 3D cells it returns ``(first,
-    keep, n_rows, n_layers)``, the counts of the distinct (layer, meta-row)
-    pairs and layers among the served targets, taken from the same sort.
-    """
-    m = len(cells[-1])
-    key = np.empty(m, np.int64) if out is None else out
     # 3D: floor-divided by the column span, then by the rank span too, the
     # heads' sweep keys hold one run per (layer, row), then per layer
-    widths = [1] * len(cells)
-    if m:
-        widths = _group_key(cells, row_top, exponents or (0,) * len(cells),
-                            key)
-        key.sort()
     divisors = widths[:0:-1] if len(cells) == 3 else ()
+    # the key pass's buffers, the last chunk's views of them and its other
+    # names go before the sort, as they would with a scope of their own
+    del (tmp, t, positions, meta_layers, meta_row, meta_col, lows, highs,
+         widths, span, row_width, col_width)
+    out.sort()
     keep = np.ones(m, dtype=bool)
     # the last head's sweep key, then its (layer, row) and layer keys, and
     # the counts of the latter two; sweep keys are >= 0, so -1 starts a run
     last = [-1] * (len(divisors) + 1)
     counts = [0] * len(divisors)
     served = 0
-    chunk = min(m, CHUNK)
-    sweeps, starts = np.empty(chunk, np.int64), np.empty(chunk, bool)
+    sweeps, starts = np.empty(min(m, CHUNK), np.int64), np.empty(min(m, CHUNK), bool)
     for a in range(0, m, CHUNK):
-        k = key[a:a + CHUNK]
+        k = out[a:a + CHUNK]
         sweep, start = sweeps[:len(k)], starts[:len(k)]
         np.floor_divide(k, m, out=sweep)
         start[0] = sweep[0] != last[0]
         np.not_equal(sweep[1:], sweep[:-1], out=start[1:])
         last[0] = sweep[-1]
-        if divisors:
-            level_key = sweep[start]
-            for level, width in enumerate(divisors, 1):
-                level_key //= width
-                if len(level_key):
-                    counts[level - 1] += int(np.count_nonzero(
-                        np.diff(level_key, prepend=last[level])))
-                    last[level] = level_key[-1]
-        # positions, then the heads' ones to the front: the chunk is read
+        level_key = sweep[start] if divisors else None
+        for level, width in enumerate(divisors, 1):
+            level_key //= width
+            if len(level_key):
+                counts[level - 1] += int(np.count_nonzero(
+                    np.diff(level_key, prepend=last[level])))
+                last[level] = level_key[-1]
+        # positions, then the heads' ones to the front, then their targets:
+        # the chunk is read
         sweep *= m
         np.subtract(k, sweep, out=sweep)
-        first = key[served:served + np.count_nonzero(start)]
+        first = out[served:served + np.count_nonzero(start)]
         np.compress(start, sweep, out=first)
         keep[first] = False
+        if idx is not None:
+            np.take(idx, first, out=first)
         served += len(first)
-    return key[:served], keep, *counts
-
-
-def _compact(columns, keep, positions=None) -> int:
-    """Move the entries of each column where ``keep`` is True to its front,
-    in order, ``CHUNK`` at a time, and write their positions into
-    ``positions`` if given; returns their number."""
+    # so do the head pass's, before the compaction
+    del sweeps, sweep, starts, start, level_key, k, first, last
+    left = np.empty(m - served, np.int64) if idx is None else idx
     size = 0
-    for a in range(0, len(keep), CHUNK):
+    for a in range(0, m, CHUNK):
         at = np.flatnonzero(keep[a:a + CHUNK])
-        for col in columns:
-            # taken before it is written: the front never passes the chunk
-            col[size:size + len(at)] = np.take(col[a:a + CHUNK], at)
-        if positions is not None:
-            np.add(at, a, out=positions[size:size + len(at)])
+        at += a
+        # taken before it is written: the front never passes the chunk
+        for col in cells:
+            col[size:size + len(at)] = np.take(col, at)
+        left[size:size + len(at)] = at if idx is None else np.take(idx, at)
         size += len(at)
-    return size
+    return out[:served], left[:size], tuple(c[:size] for c in cells), *counts
 
 
 def _check_workspace(pset: PointSet, dims) -> None:
@@ -268,29 +252,35 @@ def _check_workspace(pset: PointSet, dims) -> None:
                              f"{axis} = {high} > {name} = {size}")
 
 
-def _sweep_tour(pset: PointSet, params: VehicleParams, schedule):
-    """Serve the targets over a schedule of (sub-)phases; returns (Tour,
-    phase reports).
+def _sweep_tour(pset: PointSet, params: VehicleParams, dims):
+    """The recursive tour of :func:`rec_bta` (2 sides in ``dims``) or
+    :func:`rec_cca` (3 sides); returns (Tour, phase reports).
 
-    Each stage ``(phase, subphase, grid, exponents)`` of
-    :func:`~ditsp.geometry.bead_schedule` or
-    :func:`~ditsp.geometry.cylinder_schedule` serves the oldest unserved
-    target of each occupied meta-cell in sweep order, and charges its sweep
-    at the speed cap: :func:`~ditsp.geometry.bead_sweep` when ``subphase``
-    is None, else :func:`~ditsp.geometry.cylinder_sweep` over the occupied
-    (layer, meta-row) pairs and layers.  Cells are looked up only when a
-    stage's grid is not the previous stage's, on the targets still
-    unserved, into the same columns.  A greedy stop-go cleanup from the
-    origin completes the tour.
+    Checks the points and the workspace, sizes the cell by
+    :func:`~ditsp.geometry.ell_for_n` or
+    :func:`~ditsp.geometry.ell_for_n_3d`, and runs the stages ``(phase,
+    subphase, grid, exponents)`` of :func:`~ditsp.geometry.bead_schedule`
+    or :func:`~ditsp.geometry.cylinder_schedule`.  Each stage serves the
+    oldest unserved target of each occupied meta-cell in sweep order
+    (:func:`_serve_and_order`), and charges its sweep at the speed cap:
+    :func:`~ditsp.geometry.bead_sweep` when ``subphase`` is None, else
+    :func:`~ditsp.geometry.cylinder_sweep` over the occupied (layer,
+    meta-row) pairs and layers.  Cells are looked up only when a stage's
+    grid is not the previous stage's, on the targets still unserved, into
+    the same columns.  A greedy stop-go cleanup from the origin completes
+    the tour.
 
     One n-long int64 array is the visit order: the served targets fill it
-    from the front, and each stage sorts its keys in the free tail
-    (:func:`_serve_and_order`) and maps the heads there to targets.  Then it
-    compacts the unserved targets' ascending indices and cell columns in
-    place (:func:`_compact`).  The first stage serves from every target, so
-    its positions are the targets and it makes no index array.
+    from the front, and each stage sorts its keys in the free tail.
     """
-    n = pset.n
+    d = len(dims)
+    if pset.d != d:
+        raise ValueError(f"{'rec_bta' if d == 2 else 'rec_cca'} requires {d}D points")
+    _check_workspace(pset, dims)
+    n, rho = pset.n, params.turn_radius
+    # looked up at each call, so a wrapper set on this module sees it
+    ell, _ = (ell_for_n if d == 2 else ell_for_n_3d)(*dims, rho, n)
+    schedule = (bead_schedule if d == 2 else cylinder_schedule)(*dims, rho, ell, n)
     order = np.empty(n, dtype=np.int64)
     served, idx, cells, grid = 0, None, None, None
     reports = []
@@ -300,24 +290,15 @@ def _sweep_tour(pset: PointSet, params: VehicleParams, schedule):
                 cells = None
             cells = stage_grid.cell_index(pset.points, idx, cells)
             grid = stage_grid
-        first, keep, *counts = _serve_and_order(
-            cells, grid.row_max >> exponents[-2], exponents, order[served:])
-        if idx is None:
-            idx = np.empty(len(keep) - len(first), dtype=np.int64)
-            left = _compact(cells, keep, idx)
-        else:
-            for a in range(0, len(first), CHUNK):
-                np.take(idx, first[a:a + CHUNK], out=first[a:a + CHUNK])
-            left = _compact((*cells, idx), keep)
-        del keep  # before the next stage makes its own
+        first, idx, cells, *counts = _serve_and_order(
+            cells, idx, grid.row_max >> exponents[-2], exponents, order[served:])
         served += len(first)
-        idx, *cells = (v[:left] for v in (idx, *cells))
         sweep = (bead_sweep(grid, phase) if sub is None
                  else cylinder_sweep(grid, sub, *counts))
         reports.append(PhaseReport(
             phase=phase, meta_size=1 << sum(exponents),
             cells_traversed=sweep.n_rows * sweep.n_cols, served=len(first),
-            leftover_after=left, length=sweep.length, subphase=sub))
+            leftover_after=len(idx), length=sweep.length, subphase=sub))
 
     legs, clean_order = greedy_cleanup(np.take(pset.points, idx, axis=0),
                                        np.zeros(pset.d))
@@ -339,12 +320,7 @@ def rec_bta(pset: PointSet, params: VehicleParams, W: float = 1.0, H: float = 1.
     cells are looked up once, and phase ``i`` serves one target per
     meta-cell of ``2**(i-1)`` beads.
     """
-    if pset.d != 2:
-        raise ValueError("rec_bta requires 2D points")
-    _check_workspace(pset, (W, H))
-    rho = params.turn_radius
-    ell, _ = ell_for_n(W, H, rho, pset.n)
-    return _sweep_tour(pset, params, bead_schedule(W, H, rho, ell, pset.n))
+    return _sweep_tour(pset, params, (W, H))
 
 
 def rec_cca(pset: PointSet, params: VehicleParams,
@@ -359,10 +335,4 @@ def rec_cca(pset: PointSet, params: VehicleParams,
     the targets still unserved on its own grid; between phases the cell
     doubles in length (about 32 times its volume), held at ``4*rho``.
     """
-    if pset.d != 3:
-        raise ValueError("rec_cca requires 3D points")
-    _check_workspace(pset, (W, H, D))
-    rho = params.turn_radius
-    ell, _ = ell_for_n_3d(W, H, D, rho, pset.n)
-    return _sweep_tour(pset, params,
-                       cylinder_schedule(W, H, D, rho, ell, pset.n))
+    return _sweep_tour(pset, params, (W, H, D))

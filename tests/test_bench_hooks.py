@@ -7,7 +7,8 @@ and reads ``Tour.segments`` and the order ``greedy_cleanup`` returns.  A
 rename would otherwise show only when the benchmark runs; here it fails a
 tiny traced run of each sweep planner and of one stop-go-stop trial.
 ``tools/sweep_layers.py`` times the sweep planners' layers by the names in
-its ``LAYERS`` table, which must resolve too.
+its ``LAYERS`` table, which must resolve too, and every tool must load: some
+import private ditsp names when they load.
 """
 
 import importlib.util
@@ -67,11 +68,27 @@ def test_traced_run_trial_records_sweep_planner_spans():
     assert tracer.counts["planners.segments"] > 0
 
 
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(tool):
+    spec = importlib.util.spec_from_file_location(tool.stem, tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_sweep_layers_tool_names_resolve():
-    tool = Path(__file__).resolve().parents[1] / "tools" / "sweep_layers.py"
-    spec = importlib.util.spec_from_file_location("sweep_layers", tool)
-    sweep_layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep_layers)
+    sweep_layers = _load(TOOLS / "sweep_layers.py")
     for layer, targets in sweep_layers.LAYERS.items():
         for owner, attr in targets:
             assert callable(getattr(owner, attr, None)), (layer, attr)
+
+
+def test_every_tool_loads():
+    # each tool's imports, private ditsp names among them, resolve; a
+    # rename would otherwise show only when the tool runs
+    tools = sorted(TOOLS.glob("*.py"))
+    assert len(tools) >= 6
+    for tool in tools:
+        assert callable(_load(tool).main), tool.name

@@ -489,6 +489,21 @@ def test_lookup_rejects_a_grid_past_int64():
             grid.cell_index(np.zeros((1, d)))
 
 
+def test_lookup_rejects_an_index_past_its_column():
+    # int32 columns: a point a billion cells out has no index in them
+    for grid, point in ((BeadGrid(1.0, 1.0, BeadSpec.create(0.01, 0.02)),
+                         [1e9, 0.5]),
+                        (CylinderGrid(1.0, 1.0, 1.0,
+                                      CylinderSpec.create(0.01, 0.02)),
+                         [0.5, 1e9, 0.5])):
+        assert cell_dtype(grid) == np.int32
+        pts = np.vstack((np.full((CHUNK + 1, len(point)), 0.5), point))
+        for index in (None, np.arange(len(pts))[::-1]):
+            with pytest.raises(ValueError,
+                               match="^a cell index does not fit the int32 "):
+                grid.cell_index(pts, index)
+
+
 def test_cell_sizing_rejects_a_turn_radius_past_the_ratio():
     above = math.nextafter(MAX_TURN_RATIO, math.inf)
     for scale in (1.0, 1e-10, 1e10):

@@ -401,7 +401,8 @@ def test_serve_and_order_rejects_key_span_past_int64():
     # four meta-cells in one row; their sweep keys times m would overflow
     cols = np.array([0, 2**62, 1, 2**61], dtype=np.int64)
     with pytest.raises(ValueError, match=f"span {2**62 + 1} times 4 "):
-        _serve_and_order((np.zeros(4, np.int64), cols), 0)
+        _serve_and_order((np.zeros(4, np.int64), cols), None, 0, (0, 0),
+                         np.empty(4, np.int64))
 
 
 def _rows(n, seed, spread=3):
@@ -438,8 +439,9 @@ def test_serve_and_order_matches_dict_and_sorted(rows, k, row_top, exponents):
     keys = np.array([r[3 - k:3] for r in rows], dtype=np.int64).reshape(-1, k)
     exponents = exponents[3 - k:]
     idx = np.cumsum([r[3] for r in rows], dtype=np.int64)
+    ages = idx.copy()
     oldest = {}
-    for age, key in zip(idx.tolist(), map(tuple, keys.tolist())):
+    for age, key in zip(ages.tolist(), map(tuple, keys.tolist())):
         oldest.setdefault(tuple(v >> e for v, e in zip(key, exponents)), age)
 
     def sweep(key):
@@ -450,15 +452,19 @@ def test_serve_and_order_matches_dict_and_sorted(rows, k, row_top, exponents):
     # the planners' int32 cell columns; the keys go to a work space
     cells = tuple(c.astype(np.int32) for c in keys.T)
     out = np.full(len(keys), -1, dtype=np.int64)
-    first, keep, *counts = _serve_and_order(cells, row_top, exponents, out)
-    # the served positions are the work space's front, in sweep order
-    assert first.base is out and first.ctypes.data == out.ctypes.data
-    order = idx[first]
-    served_keys = meta_index(tuple(c[first] for c in keys.T), exponents)
-    assert order.tolist() == [age for _, age in want]
-    assert list(zip(*(c.tolist() for c in served_keys))) == [key for key, _ in want]
-    assert idx[~keep].tolist() == sorted(oldest.values())
-    assert all(np.array_equal(c, v) for c, v in zip(cells, keys.T))
+    first, left, left_cells, *counts = _serve_and_order(
+        cells, idx, row_top, exponents, out)
+    # the served targets are the work space's front, in sweep order
+    assert first.ctypes.data == out.ctypes.data
+    assert first.tolist() == [age for _, age in want]
+    # the unserved targets' indices and cells, oldest first, compacted to
+    # the front of their own arrays
+    unserved = np.isin(ages, first, invert=True)
+    assert left.ctypes.data == idx.ctypes.data
+    assert left.tolist() == ages[unserved].tolist()
+    for c, v, column in zip(left_cells, cells, keys.T):
+        assert c.ctypes.data == v.ctypes.data
+        assert c.tolist() == column[unserved].tolist()
     # 3D keys also count the distinct (layer, row) pairs and layers; 2D
     # keys count nothing
     want_counts = [len({key[:-1] for key in oldest}),

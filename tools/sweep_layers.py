@@ -8,14 +8,14 @@ Runs ``planners.rec_bta`` (``r_vel`` 0.1) and ``planners.rec_cca`` (``r_vel``
 (7e3 points around 20 hotspots), all from seed 1.  Each round makes one
 planner call with the layers wrapped by timers: the cell lookup
 (``BeadGrid``/``CylinderGrid.cell_index``, with its gather of the unserved
-targets' points), the per-(sub-)phase serve and
-order step (``planners._serve_and_order``) and the cleanup's two parts, its
+targets' points), the per-(sub-)phase serve and order step
+(``planners._serve_and_order``: the keys, the sort, the served targets and
+the compaction of the unserved ones) and the cleanup's two parts, its
 neighbour query (``kd_neighbours``) and its walk (``nearest_walk``), as
 ``planners.greedy_cleanup`` calls them.  Each row gives the medians over
 the rounds of each layer's time, of the rest of the call and of the whole
 call.  The rest is the call's time less the four layers: the input checks
-and the cell sizing, the compaction and the mapping of the served
-positions to targets, the sweep accounting, and the cleanup's gather and
+and the cell sizing, the sweep accounting, and the cleanup's gather and
 stacking of its input and of the tour's rows.  ``peak_mib`` is the
 ``tracemalloc`` peak of one more call, made after the timed rounds without
 the timers, and ``peak_x`` that peak over the points' bytes.  ditsp comes
