@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 from ditsp.bounds import bound_set
 from ditsp.dtrp import DtrpConfig, run_bta, run_cca
@@ -50,29 +50,25 @@ def _emit(rows, fields, fmt, out):
 def _dims(args):
     if args.dim == 3:
         if args.D is None:
-            raise SystemExit(f"{args.command}: --D is required for --dim 3")
+            raise ValueError("--D is required for --dim 3")
         return (args.W, args.H, args.D)
     return (args.W, args.H)
 
 
-def _checked(args, make, *values, **fields):
-    """Call ``make``; its ``ValueError`` becomes a one-line exit."""
-    try:
-        return make(*values, **fields)
-    except ValueError as err:
-        raise SystemExit(f"{args.command}: {err}") from None
-
-
 def _params(args) -> VehicleParams:
-    return _checked(args, VehicleParams, r_vel=args.rvel, r_ctr=args.rctr)
+    return VehicleParams(r_vel=args.rvel, r_ctr=args.rctr)
+
+
+def _experiment(args, ns, **fields) -> ExperimentConfig:
+    """The ``ExperimentConfig`` of a ``tour`` or ``scaling`` call."""
+    return ExperimentConfig(algo=_ALGO_NAMES[args.algo], dims=_dims(args),
+                            params=_params(args), ns=ns, n_seeds=args.trials,
+                            master_seed=args.seed, **fields)
 
 
 def cmd_tour(args) -> int:
-    config = _checked(args, ExperimentConfig, algo=_ALGO_NAMES[args.algo],
-                      dims=_dims(args), params=_params(args), ns=(args.n,),
-                      n_seeds=args.trials, master_seed=args.seed)
-    rows = [astuple(r) for r in _checked(args, run_experiment, config)]
-    _emit(rows, TOUR_CSV_FIELDS, args.format, args.out)
+    results = run_experiment(_experiment(args, (args.n,)))
+    _emit([astuple(r) for r in results], TOUR_CSV_FIELDS, args.format, args.out)
     return 0
 
 
@@ -80,16 +76,13 @@ def cmd_dtrp(args) -> int:
     dims = _dims(args)
     run = run_bta if args.policy == "bta" else run_cca
     if args.seeds < 1:
-        raise SystemExit(f"dtrp: --seeds must be >= 1, got {args.seeds}")
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     rows = []
-    ok = True
     trace = [] if args.trace else None
     for seed in range(args.seeds):
-        config = _checked(args, DtrpConfig, dims=dims, params=_params(args),
-                          lam=args.lam, n_slots=args.horizon,
-                          seed=args.seed + seed)
-        stats = _checked(args, run, config, trace=trace if seed == 0 else None)
-        ok = ok and not stats.divergent
+        config = DtrpConfig(dims=dims, params=_params(args), lam=args.lam,
+                            n_slots=args.horizon, seed=args.seed + seed)
+        stats = run(config, trace=trace if seed == 0 else None)
         rows.append([args.policy, args.lam, seed, stats.mean_system_time,
                      stats.mean_queue_len, stats.served, int(stats.divergent)])
     _emit(rows, DTRP_CSV_FIELDS, args.format, args.out)
@@ -97,12 +90,12 @@ def cmd_dtrp(args) -> int:
         trace.sort(key=lambda e: e["t"])
         with open(args.trace, "w") as fh:
             json.dump(trace, fh, indent=2)
-    return 0 if ok else 1
+    # 1 iff a run diverged: a row ends in its divergent flag
+    return int(any(row[-1] for row in rows))
 
 
 def cmd_bounds(args) -> int:
-    out = _checked(args, bound_set, _dims(args), _params(args), n=args.n)
-    _emit_obj(out, args.out)
+    _emit_obj(bound_set(_dims(args), _params(args), n=args.n), args.out)
     return 0
 
 
@@ -110,8 +103,8 @@ def cmd_tile(args) -> int:
     dims = _dims(args)
     cells = []
     if args.dim == 2:
-        spec = _checked(args, BeadSpec.create, args.rho, args.ell)
-        grid = _checked(args, BeadGrid, *dims, spec)
+        spec = BeadSpec.create(args.rho, args.ell)
+        grid = BeadGrid(*dims, spec)
         for row, col in grid.cells():
             cx, cy = grid.cell_center(row, col)
             cx, cy = float(cx), float(cy)
@@ -123,8 +116,8 @@ def cmd_tile(args) -> int:
                              [cx + half_l, cy], [cx, cy - half_w]],
             })
     else:
-        spec = _checked(args, CylinderSpec.create, args.rho, args.ell)
-        grid = _checked(args, CylinderGrid, *dims, spec)
+        spec = CylinderSpec.create(args.rho, args.ell)
+        grid = CylinderGrid(*dims, spec)
         for layer in range(grid.layer_min, grid.layer_max + 1):
             for row in range(grid.row_min, grid.row_max + 1):
                 y, z = grid.axis_center(layer, row)
@@ -142,26 +135,18 @@ def cmd_tile(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    config = _checked(args, ExperimentConfig, algo=_ALGO_NAMES[args.algo],
-                      dims=_dims(args), params=_params(args),
-                      ns=tuple(args.ns), n_seeds=args.trials,
-                      master_seed=args.seed, workers=args.workers)
-    results = _checked(args, run_experiment, config)
+    config = _experiment(args, tuple(args.ns), workers=args.workers)
+    results = run_experiment(config)
     if args.out:
         _emit([astuple(r) for r in results], TOUR_CSV_FIELDS, args.format,
               args.out)
-    fit = _checked(args, fit_experiment, results)
-    report = {"algo": config.algo, "slope": fit.slope, "intercept": fit.intercept,
-              "r_squared": fit.r_squared, "n_points": fit.n_points}
-    _emit_obj(report, None)
-    if args.slope_min is not None and fit.slope < args.slope_min:
-        return 1
-    if args.slope_max is not None and fit.slope > args.slope_max:
-        return 1
-    return 0
+    fit = fit_experiment(results)
+    _emit_obj({"algo": config.algo, **asdict(fit)}, None)
+    return int(args.slope_min is not None and fit.slope < args.slope_min
+               or args.slope_max is not None and fit.slope > args.slope_max)
 
 
-def _add_common(p, dim_default=2):
+def _add_common(p):
     # the global flags are re-declared with SUPPRESS so they may appear either
     # before or after the subcommand without clobbering root-level values
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
@@ -169,7 +154,7 @@ def _add_common(p, dim_default=2):
     p.add_argument("--format", choices=("csv", "json"),
                    default=argparse.SUPPRESS)
     p.add_argument("--config", type=str, default=argparse.SUPPRESS)
-    p.add_argument("--dim", type=int, choices=(2, 3), default=dim_default)
+    p.add_argument("--dim", type=int, choices=(2, 3), default=2)
     p.add_argument("--W", type=float, default=1.0)
     p.add_argument("--H", type=float, default=1.0)
     p.add_argument("--D", type=float, default=None)
@@ -264,17 +249,26 @@ def _plain_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Its ``ValueError`` or ``OSError``, and the config
+    file's, exits with the one line ``<command>: <message>``."""
     args = _plain_parser().parse_args(argv)
-    if args.config:
-        # parse again with the file's values as defaults, so every flag given
-        # on the command line, in any spelling, wins
-        with open(args.config) as fh:
+    try:
+        if args.config:
+            # parse again with the file's values as defaults, so every flag
+            # given on the command line, in any spelling, wins
+            with open(args.config) as fh:
+                config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError(f"config file {args.config} does not hold "
+                                 "a JSON object")
             config = {key.replace("-", "_"): value
-                      for key, value in json.load(fh).items()}
-        if "lambda" in config:
-            config["lam"] = config.pop("lambda")
-        args = build_parser(config).parse_args(argv)
-    return args.func(args)
+                      for key, value in config.items()}
+            if "lambda" in config:
+                config["lam"] = config.pop("lambda")
+            args = build_parser(config).parse_args(argv)
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        raise SystemExit(f"{args.command}: {err}") from None
 
 
 if __name__ == "__main__":

@@ -251,6 +251,10 @@ class CylinderGrid:
                 h -= 0.5
                 np.ceil(h, out=h)
             layer[:] = s
+            s += t
+            # the integer sum below is exact but wraps silently: the cast
+            # of the float sum into ``row`` only checks that it fits
+            row[:] = s
             row[:] = t
             layer += row
             np.subtract(layer // 2, row, out=row)

@@ -32,7 +32,6 @@ from ditsp.geometry import (
     _check_dims,
     bead_schedule,
     bead_sweep,
-    cell_dtype,
     cylinder_schedule,
     cylinder_sweep,
     ell_for_n,
@@ -286,8 +285,6 @@ def _sweep_tour(pset: PointSet, params: VehicleParams, dims):
     reports = []
     for phase, sub, stage_grid, exponents in schedule:
         if stage_grid is not grid:
-            if cells is not None and cells[0].dtype != cell_dtype(stage_grid):
-                cells = None
             cells = stage_grid.cell_index(pset.points, idx, cells)
             grid = stage_grid
         first, idx, cells, *counts = _serve_and_order(

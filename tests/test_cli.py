@@ -237,15 +237,19 @@ def test_bad_n_exits_with_one_line(argv, word):
     assert word in message.split()
 
 
+def _run_python(*args, check=True):
+    """``python *args`` in a fresh interpreter that imports this ditsp."""
+    src = str(Path(ditsp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, check=check, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def _run_fresh(code):
     # in a fresh interpreter: scipy.stats, which other tests import, loads
     # scipy.optimize and scipy.spatial into this one
-    src = str(Path(ditsp.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": path})
-    return out.stdout.strip()
+    return _run_python("-c", code).stdout.strip()
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -339,3 +343,32 @@ def test_config_file_global_flag_either_side(tmp_path, capsys):
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] == outs[2] != outs[3]
+
+
+@pytest.mark.parametrize("config, argv", [
+    ('{"n": 5', ["tour"]), ("[1, 2]", ["tour"]), (None, ["bounds"]),
+    ('{"n": 5}', ["tour", "--out", "{tmp}/no/such/dir/t.csv"])],
+    ids=["malformed", "list", "missing", "out-dir"])
+def test_bad_file_exits_with_one_line(tmp_path, capsys, config, argv):
+    # a malformed config, one that is no JSON object, a missing one, and an
+    # --out path in a missing directory
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(config)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + argv)
+    message = str(exc.value.code)
+    assert message.startswith(f"{argv[0]}: ") and "\n" not in message
+    assert not capsys.readouterr().out
+
+
+def test_module_entry_exits_with_one_line(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    out = _run_python("-m", "ditsp.cli", "--config", str(cfg), "bounds",
+                      check=False)
+    assert out.returncode == 1 and not out.stdout
+    assert "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == [
+        f"bounds: config file {cfg} does not hold a JSON object"]

@@ -491,17 +491,40 @@ def test_lookup_rejects_a_grid_past_int64():
 
 def test_lookup_rejects_an_index_past_its_column():
     # int32 columns: a point a billion cells out has no index in them
+    cylinders = CylinderGrid(1.0, 1.0, 1.0, CylinderSpec.create(0.01, 0.02))
     for grid, point in ((BeadGrid(1.0, 1.0, BeadSpec.create(0.01, 0.02)),
                          [1e9, 0.5]),
-                        (CylinderGrid(1.0, 1.0, 1.0,
-                                      CylinderSpec.create(0.01, 0.02)),
-                         [0.5, 1e9, 0.5])):
+                        (cylinders, [0.5, 1e9, 0.5]),
+                        # s and t fit int32, their sum, the layer, does not
+                        (cylinders, [0.5, 0.5, 4.3e6])):
         assert cell_dtype(grid) == np.int32
         pts = np.vstack((np.full((CHUNK + 1, len(point)), 0.5), point))
         for index in (None, np.arange(len(pts))[::-1]):
             with pytest.raises(ValueError,
                                match="^a cell index does not fit the int32 "):
                 grid.cell_index(pts, index)
+
+
+def test_cylinder_layer_is_exact_past_2_53():
+    # int64 columns: the layer s + t is an integer sum, which a float sum
+    # past 2**53 is not
+    grid = CylinderGrid(1.0, 1.0, 1.0, CylinderSpec.create(1e-17, 4e-17))
+    pts = substream(7, 11).uniform(size=(1000, 3))
+    got, want = grid.cell_index(pts), _cylinder_lookup_reference(grid, pts)
+    assert got[0].dtype == np.int64 and got[0].max() > 2**53
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_rho=st.floats(-9.0, 0.0), n=st.integers(2, 10**12))
+def test_cylinder_schedule_reach_never_grows(log_rho, n):
+    # point-free: a later stage's cell is no shorter, so its indices fit the
+    # columns of the first stage's lookup
+    rho = 10.0**log_rho
+    ell, _ = ell_for_n_3d(1.0, 1.0, 1.0, rho, n)
+    reach = [grid.reach for _, _, grid, _ in
+             cylinder_schedule(1.0, 1.0, 1.0, rho, ell, n)]
+    assert all(a >= b for a, b in zip(reach, reach[1:]))
 
 
 def test_cell_sizing_rejects_a_turn_radius_past_the_ratio():
