@@ -19,7 +19,7 @@ from dataclasses import asdict, astuple
 
 from ditsp.bounds import bound_set
 from ditsp.dtrp import DtrpConfig, run_bta, run_cca
-from ditsp.geometry import BeadGrid, BeadSpec, CylinderGrid, CylinderSpec
+from ditsp.geometry import BeadGrid, BeadSpec, CylinderGrid
 from ditsp.harness import (ExperimentConfig, TOUR_CSV_FIELDS, fit_experiment,
                            run_experiment, write_csv)
 from ditsp.vehicle import VehicleParams
@@ -85,11 +85,12 @@ def cmd_dtrp(args) -> int:
         stats = run(config, trace=trace if seed == 0 else None)
         rows.append([args.policy, args.lam, seed, stats.mean_system_time,
                      stats.mean_queue_len, stats.served, int(stats.divergent)])
-    _emit(rows, DTRP_CSV_FIELDS, args.format, args.out)
+    # the trace first: a trace path that cannot be written writes no rows
     if args.trace:
         trace.sort(key=lambda e: e["t"])
         with open(args.trace, "w") as fh:
             json.dump(trace, fh, indent=2)
+    _emit(rows, DTRP_CSV_FIELDS, args.format, args.out)
     # 1 iff a run diverged: a row ends in its divergent flag
     return int(any(row[-1] for row in rows))
 
@@ -101,9 +102,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_tile(args) -> int:
     dims = _dims(args)
+    spec = BeadSpec.create(args.rho, args.ell)
     cells = []
     if args.dim == 2:
-        spec = BeadSpec.create(args.rho, args.ell)
         grid = BeadGrid(*dims, spec)
         for row, col in grid.cells():
             cx, cy = grid.cell_center(row, col)
@@ -116,7 +117,6 @@ def cmd_tile(args) -> int:
                              [cx + half_l, cy], [cx, cy - half_w]],
             })
     else:
-        spec = CylinderSpec.create(args.rho, args.ell)
         grid = CylinderGrid(*dims, spec)
         for layer in range(grid.layer_min, grid.layer_max + 1):
             for row in range(grid.row_min, grid.row_max + 1):
@@ -137,10 +137,11 @@ def cmd_tile(args) -> int:
 def cmd_scaling(args) -> int:
     config = _experiment(args, tuple(args.ns), workers=args.workers)
     results = run_experiment(config)
+    # the fit first: a fit that fails writes no trial rows
+    fit = fit_experiment(results)
     if args.out:
         _emit([astuple(r) for r in results], TOUR_CSV_FIELDS, args.format,
               args.out)
-    fit = fit_experiment(results)
     _emit_obj({"algo": config.algo, **asdict(fit)}, None)
     return int(args.slope_min is not None and fit.slope < args.slope_min
                or args.slope_max is not None and fit.slope > args.slope_max)

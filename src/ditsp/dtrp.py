@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ditsp.bounds import _dim, heavy_load
 from ditsp.geometry import (CYCLE_FACTOR_3D, SWEEP_BUDGET_3D, BeadGrid,
-                            BeadSpec, CylinderGrid, CylinderSpec, _check_dims,
-                            _check_reach, bead_area, bead_sweep,
-                            cylinder_sweep, cylinder_volume, solve_cell)
+                            BeadSpec, CylinderGrid, _check_dims, _check_reach,
+                            bead_area, bead_sweep, cylinder_sweep,
+                            cylinder_volume, solve_cell)
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
 
@@ -115,7 +115,7 @@ class DtrpConfig:
                              f"{self.warmup_fraction}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DtrpStats:
     """Aggregate queue statistics of one run, streamed block by block: a
     run holds no per-arrival data beyond one block of the simulation, about
@@ -159,12 +159,11 @@ def _size_cell(config: DtrpConfig, x_target: float):
     measure = math.prod(dims)  # area or volume
 
     def measured(ell):
+        spec = BeadSpec.create(rho, ell)
         if len(dims) == 2:
-            spec = BeadSpec.create(rho, ell)
             grid = BeadGrid(*dims, spec)
             cell, sweep = bead_area(spec), bead_sweep(grid, 1).length
         else:
-            spec = CylinderSpec.create(rho, ell)
             grid = CylinderGrid(*dims, spec)
             cell = cylinder_volume(spec)
             sweep = CYCLE_FACTOR_3D * cylinder_sweep(grid).length
@@ -219,52 +218,49 @@ def _fifo_slots(base: np.ndarray, starts: list, counts: np.ndarray,
 def _draw_blocks(config: DtrpConfig, period: float, cell_rate: float):
     """Each sample cell's slot offset and sorted arrivals, drawn cell after
     cell from one substream, grouped into blocks of consecutive cells with
-    arrivals that hold at least ``_BLOCK_ARRIVALS`` arrivals (the last block
-    fewer).
+    arrivals.  A block is yielded once it holds at least ``_BLOCK_ARRIVALS``
+    arrivals, and at the last sample cell if it holds any; so no block is
+    empty, and only the last may hold fewer.
 
-    Yields ``(cells, offsets, ends, arrivals)``: lists of the block's cell
-    numbers, their slot offsets and the running end of each cell's arrivals
-    in ``arrivals``, a view of one float64 buffer that the next block
-    overwrites.  Each cell's arrivals are drawn into their slice of the
-    buffer by ``rng.random(out=...)`` (the doubles of ``rng.random(n)``) and
-    sorted there; the whole block is then scaled by the horizon once.
+    Yields ``(cells, offsets, bounds, arrivals)``: lists of the block's
+    cell numbers and their slot offsets, the one list ``[0, end_1, ...]``
+    of the bounds of the cells' arrivals (the i-th cell's are
+    ``arrivals[bounds[i]:bounds[i + 1]]``), and ``arrivals``, a view of one
+    float64 buffer that the next block overwrites.  Each cell's arrivals
+    are drawn into their slice of the buffer by ``rng.random(out=...)``
+    (the doubles of ``rng.random(n)``) and sorted there; the whole block is
+    then scaled by the horizon once.
     ``x -> fl(x * horizon)`` is monotone, so sorting before scaling gives
     the same arrivals bit for bit as scaling before sorting.  The buffer
-    grows when a cell would overflow it.
+    grows, keeping the block drawn so far, when a cell would overflow it.
     """
     horizon = config.n_slots * period
     mean_arrivals = cell_rate * horizon
     rng = substream(config.seed, 7)
     buf = np.empty(_BLOCK_ARRIVALS)
-    cells, offsets, ends, n_block = [], [], [], 0
+    last = config.n_sample_cells - 1
+    cells, offsets, bounds, n_block = [], [], [0], 0
     for cell in range(config.n_sample_cells):
         # rng.random() * x is rng.uniform(0.0, x) bit for bit (that computes
         # 0.0 + x * u from the same double u), at a third of the call cost
         offset = rng.random() * period
         n_arr = rng.poisson(mean_arrivals)
-        if n_arr == 0:
-            continue
-        end = n_block + n_arr
-        if end > len(buf):
-            grown = np.empty(max(end, 2 * len(buf)))
-            grown[:n_block] = buf[:n_block]
-            buf = grown
-        arr = buf[n_block:end]
-        rng.random(out=arr)
-        arr.sort()
-        cells.append(cell)
-        offsets.append(offset)
-        ends.append(end)
-        n_block = end
-        if n_block >= _BLOCK_ARRIVALS:
+        if n_arr:
+            end = n_block + n_arr
+            if end > len(buf):
+                buf = np.resize(buf, max(end, 2 * len(buf)))
+            arr = buf[n_block:end]
+            rng.random(out=arr)
+            arr.sort()
+            cells.append(cell)
+            offsets.append(offset)
+            bounds.append(end)
+            n_block = end
+        if n_block >= _BLOCK_ARRIVALS or cell == last and cells:
             arrivals = buf[:n_block]
             arrivals *= horizon
-            yield cells, offsets, ends, arrivals
-            cells, offsets, ends, n_block = [], [], [], 0
-    if cells:
-        arrivals = buf[:n_block]
-        arrivals *= horizon
-        yield cells, offsets, ends, arrivals
+            yield cells, offsets, bounds, arrivals
+            cells, offsets, bounds, n_block = [], [], [0], 0
 
 
 def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
@@ -282,17 +278,19 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     Cells are simulated in blocks of about ``_BLOCK_ARRIVALS`` arrivals
     (:func:`_draw_blocks`): each block's arrivals, in (cell, time) order in
     one buffer, go through whole-array passes, and one running maximum
-    gives every cell's slots (:func:`_fifo_slots`).  Blocks keep the
-    temporaries in cache; one pass over a whole long run is slower.  Each
-    temporary is overwritten in place once it is no longer needed: the
-    first slots become the service slots, the offsets the waits (zeroed
-    where not kept), the departures the occupancy spans.  Both statistics,
-    the mean wait and the occupancy integral, are sums taken per cell and
-    added in cell order, so the results do not depend on the block size,
-    and no wait outlives its block: memory holds one block, that is
-    ``_BLOCK_ARRIVALS`` plus the largest cell's arrivals, whatever the
-    horizon.  The trace holds each of the first ``trace_cells``
-    cells' first 50 slots and first 200 arrivals with their services.
+    gives every cell's slots (:func:`_fifo_slots`).  The block's ``bounds``
+    give the cells' starts, ``bounds[:-1]``, their arrival counts, and the
+    trace's slices.  Blocks keep the temporaries in cache; one pass over a
+    whole long run is slower.  Each temporary is overwritten in place once
+    it is no longer needed: the first slots become the service slots, the
+    offsets the waits (zeroed where not kept), the departures the occupancy
+    spans.  Both statistics, the mean wait and the occupancy integral, are
+    sums taken per cell and added in cell order, so the results do not
+    depend on the block size, and no wait outlives its block: memory holds
+    one block, that is ``_BLOCK_ARRIVALS`` plus the largest cell's
+    arrivals, whatever the horizon.  The trace holds each of the first
+    ``trace_cells`` cells' first 50 slots and first 200 arrivals with their
+    services.
     """
     horizon = config.n_slots * period
     warmup = config.warmup_fraction * horizon
@@ -302,13 +300,13 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     occupancy = 0.0     # integral of queue length over the post-warmup window
     first_target_id = 0
     index = np.empty(0, dtype=np.int64)
-    for cells, offsets, ends, arrivals in _draw_blocks(config, period,
-                                                       cell_rate):
+    for cells, offsets, bounds, arrivals in _draw_blocks(config, period,
+                                                         cell_rate):
         n = len(arrivals)
         if len(index) < n:
             index = np.arange(n, dtype=np.int64)
-        starts = [0] + ends[:-1]
-        counts = np.subtract(ends, starts)
+        starts = bounds[:-1]
+        counts = np.subtract(bounds[1:], starts)
         offset = np.repeat(offsets, counts)
         # first slot after each arrival; arrivals are >= 0 and offsets are
         # below one period, so the quotient is > -1 and the slot >= 0
@@ -319,7 +317,7 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
         depart = _fifo_slots(slots, starts, counts, index) * period
         depart += offset
         if trace is not None and cells[0] < trace_cells:
-            _trace_block(trace, cells, offsets, [0] + ends, arrivals,
+            _trace_block(trace, cells, offsets, bounds, arrivals,
                          depart, first_target_id, period, horizon,
                          min(config.n_slots, 50), trace_cells)
         first_target_id += n
@@ -358,45 +356,42 @@ def _trace_block(trace, cells, offsets, bounds, arrivals, depart,
     """Append the events of a block's cells numbered below ``trace_cells``:
     per cell its first ``n_slots`` slot starts, then its first 200 arrivals,
     each followed by its service if that falls within the horizon."""
-    for i, cell in enumerate(cells):
+    for cell, offset, s, e in zip(cells, offsets, bounds, bounds[1:]):
         if cell >= trace_cells:
             break
-        offset = offsets[i]
         for k_slot in range(n_slots):
             trace.append({"t": offset + k_slot * period,
                           "event": "sweep_start", "target_id": None,
                           "cell_index": cell})
-        s = bounds[i]
-        e = min(bounds[i + 1], s + 200)
-        tid = first_target_id + s
-        for a, d in zip(arrivals[s:e].tolist(), depart[s:e].tolist()):
+        e = min(e, s + 200)
+        for tid, a, d in zip(range(first_target_id + s, first_target_id + e),
+                             arrivals[s:e].tolist(), depart[s:e].tolist()):
             trace.append({"t": a, "event": "arrival", "target_id": tid,
                           "cell_index": cell})
             if d < horizon:
                 trace.append({"t": d, "event": "service", "target_id": tid,
                               "cell_index": cell})
-            tid += 1
 
 
-def _run_policy(config: DtrpConfig, dim: int, trace: list | None) -> DtrpStats:
-    _, period, rate, clamped = _size_cell(config, tune_policy(dim).x_star)
+def _run_policy(config: DtrpConfig, trace: list | None) -> DtrpStats:
+    x_star = tune_policy(len(config.dims)).x_star
+    _, period, rate, clamped = _size_cell(config, x_star)
     stats = _simulate_cells(config, period, rate, trace=trace)
-    stats.cell_clamped = clamped
-    return stats
+    return replace(stats, cell_clamped=clamped)
 
 
 def run_bta(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
     """Bead-sweep repair policy in a rectangle."""
     if len(config.dims) != 2:
         raise ValueError("policy bta requires dims = (W, H)")
-    return _run_policy(config, 2, trace)
+    return _run_policy(config, trace)
 
 
 def run_cca(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
     """Cylinder-sweep repair policy in a box."""
     if len(config.dims) != 3:
         raise ValueError("policy cca requires dims = (W, H, D)")
-    return _run_policy(config, 3, trace)
+    return _run_policy(config, trace)
 
 
 def predicted_system_time(dim: int, dims: tuple, params: VehicleParams,

@@ -57,7 +57,9 @@ def bead_width(rho: float, ell: float) -> float:
 
 @dataclass(frozen=True)
 class BeadSpec:
-    """Bead cell parameters: turn radius ``rho``, length ``ell``, thickness ``w``."""
+    """Cell parameters: turn radius ``rho``, length ``ell``, thickness ``w``;
+    the bead in the plane, and revolved about its axis the cylinder of
+    radius ``w/4``."""
 
     rho: float
     ell: float
@@ -74,23 +76,10 @@ class BeadSpec:
         """Upper bound on the through-cell arc, ``4*rho*arcsin(ell/(4*rho))``."""
         return 4.0 * self.rho * math.asin(min(1.0, self.ell / (4.0 * self.rho)))
 
-
-@dataclass(frozen=True)
-class CylinderSpec:
-    """Cylinder cell: radius ``w(ell)/4``, length ``ell``."""
-
-    rho: float
-    ell: float
-    radius: float
-
-    @classmethod
-    def create(cls, rho: float, ell: float) -> "CylinderSpec":
-        w = bead_width(rho, ell)
-        return cls(rho=rho, ell=ell, radius=w / 4.0)
-
     @property
-    def w(self) -> float:
-        return 4.0 * self.radius
+    def radius(self) -> float:
+        """Radius ``w/4`` of the cylinder cell."""
+        return self.w / 4.0
 
 
 def bead_area(spec: BeadSpec) -> float:
@@ -98,7 +87,7 @@ def bead_area(spec: BeadSpec) -> float:
     return spec.ell * spec.w / 2.0
 
 
-def cylinder_volume(spec: CylinderSpec) -> float:
+def cylinder_volume(spec: BeadSpec) -> float:
     """Nominal cell volume ``pi * (w/4)**2 * (ell/2)``.
 
     This is the volume budget per cell used by the covering (overlaps between
@@ -207,7 +196,7 @@ class CylinderGrid:
     outside the grid's row and layer ranges; only the column is clipped.
     """
 
-    def __init__(self, W: float, H: float, D: float, spec: CylinderSpec):
+    def __init__(self, W: float, H: float, D: float, spec: BeadSpec):
         self.W, self.H, self.D = _check_dims((W, H, D))
         self.spec = spec
         rad = spec.radius
@@ -309,7 +298,7 @@ def cylinder_schedule(W: float, H: float, D: float, rho: float, ell: float,
     _check_n(n)
     n_phases = math.ceil((math.log2(n) + 7.0) / 5.0) if n > 1 else 1
     for phase in range(1, n_phases + 1):
-        grid = CylinderGrid(W, H, D, CylinderSpec.create(
+        grid = CylinderGrid(W, H, D, BeadSpec.create(
             rho, min(2.0 ** (phase - 1) * ell, 4.0 * rho)))
         for sub, exponents in enumerate(SUBPHASE_EXPONENTS, 1):
             yield phase, sub, grid, exponents
@@ -534,5 +523,5 @@ def ell_for_n_3d(W: float, H: float, D: float, rho: float, n: int) -> tuple[floa
     """Cell length making cylinder volume equal W*H*D/(4n); ``(ell, clamped)``."""
     _check_n(n)
     return solve_cell(rho, (W, H, D), lambda ell:
-                      cylinder_volume(CylinderSpec.create(rho, ell))
+                      cylinder_volume(BeadSpec.create(rho, ell))
                       - W * H * D / 4.0 / n)

@@ -1,6 +1,7 @@
 """End-to-end CLI checks over every subcommand."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -84,6 +85,22 @@ def test_tile_3d_schema(tmp_path):
     assert rc == 0
     data = json.loads(out.read_text())
     assert "axis" in data["cells"][0]
+
+
+# sha256 of ``ditsp tile`` output with the default sides, recorded when the
+# cylinder cell was its own spec type, storing w/4 and turning it back to w
+PINNED_TILE = {
+    "2d": "9f6ba25e65fc04b26dad681e0decac1cdb1a579d6b540777f5beb7e1a8a53f44",
+    "3d": "d0c4c7a24a1448e23c648be0e2e7520931d3dd0da7cec195b4fc2cce755ed42d",
+}
+
+
+@pytest.mark.parametrize("dim, argv", [("2d", []),
+                                       ("3d", ["--dim", "3", "--D", "0.5"])])
+def test_tile_digest_pinned(capsys, dim, argv):
+    assert main(["tile", "--rho", "0.1", "--ell", "0.3"] + argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TILE[dim]
 
 
 def test_scaling_slope_gate(tmp_path, capsys):
@@ -361,6 +378,22 @@ def test_bad_file_exits_with_one_line(tmp_path, capsys, config, argv):
     message = str(exc.value.code)
     assert message.startswith(f"{argv[0]}: ") and "\n" not in message
     assert not capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["dtrp", "--horizon", "5", "--trace", "{tmp}/no/dir/t.json"], "[Errno 2]"),
+    (["scaling", "--algo", "sgs", "--ns", "50", "--trials", "1"], "need")],
+    ids=["dtrp-trace", "scaling-fit"])
+def test_failing_last_step_writes_no_rows(tmp_path, capsys, argv, word):
+    # a trace path that cannot be written and a fit that fails: each command
+    # takes its last step that can fail before it writes any rows
+    out = tmp_path / "rows.csv"
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    message = str(exc.value.code)
+    assert message.startswith(f"{argv[0]}: {word}") and "\n" not in message
+    assert not out.exists() and not capsys.readouterr().out
 
 
 def test_module_entry_exits_with_one_line(tmp_path):

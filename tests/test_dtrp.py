@@ -16,7 +16,7 @@ from ditsp.cli import main
 from ditsp.dtrp import (DtrpConfig, X_FACTOR_3D, _simulate_cells, _size_cell,
                         md1_system_time, predicted_system_time, run_bta,
                         run_cca, tune_policy)
-from ditsp.geometry import CylinderGrid, CylinderSpec, bead_width
+from ditsp.geometry import BeadSpec, CylinderGrid, bead_width
 from ditsp.rng import substream
 from ditsp.vehicle import VehicleParams
 
@@ -103,7 +103,7 @@ def test_3d_period_sweeps_the_cylinder_covering(dims, params, lam):
     w = bead_width(rho, ell)
     rows = math.floor(2.0 * H / w + 0.5) + 2
     layers = math.floor(4.0 * D / w) + 3
-    grid = CylinderGrid(W, H, D, CylinderSpec.create(rho, ell))
+    grid = CylinderGrid(W, H, D, BeadSpec.create(rho, ell))
     assert (grid.n_rows, grid.n_layers) == (rows, layers)
     uturn = 7.0 * math.pi * rho / 3.0
     row = 2.0 * (W + 2.0 * ell) + uturn + ell / 2.0 + uturn + w / 2.0
@@ -392,6 +392,57 @@ def test_results_do_not_depend_on_block_size(name, block, tmp_path,
     want = _block_case(name, tmp_path)
     monkeypatch.setattr(dtrp, "_BLOCK_ARRIVALS", block)
     assert _block_case(name, tmp_path) == want
+
+
+def _whole_run_block(cfg, period, cell_rate):
+    """The cells with arrivals, their offsets and their arrivals as one
+    block of the whole run: each cell redraws its offset, count and sorted
+    arrivals from the same substream, as the draws do."""
+    horizon = cfg.n_slots * period
+    rng = substream(cfg.seed, 7)
+    cells, offsets, arrivals = [], [], []
+    for cell in range(cfg.n_sample_cells):
+        offset = rng.uniform(0.0, period)
+        n_arr = rng.poisson(cell_rate * horizon)
+        if n_arr:
+            cells.append(cell)
+            offsets.append(offset)
+            arrivals.append(np.sort(rng.uniform(0.0, horizon, size=n_arr)))
+    return cells, offsets, arrivals
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_cells=st.integers(1, 40), log_mean=st.floats(-3.0, 3.2),
+       block=st.sampled_from([1, 7, dtrp._BLOCK_ARRIVALS]),
+       seed=st.integers(0, 2**16))
+@example(n_cells=40, log_mean=3.2, block=dtrp._BLOCK_ARRIVALS, seed=0)
+@example(n_cells=12, log_mean=-1.0, block=1, seed=1)
+def test_draw_blocks_cut_one_whole_run_block(n_cells, log_mean, block, seed):
+    # 10**log_mean arrivals per cell on average, down to 1e-3 so that many
+    # cells, the trailing ones included, draw nothing
+    cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1.0, n_slots=100,
+                     n_sample_cells=n_cells, seed=seed)
+    cell_rate = 10.0**log_mean / 100.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtrp, "_BLOCK_ARRIVALS", block)
+        # copies: the next block overwrites the arrivals' buffer
+        blocks = [(cells, offsets, bounds, arrivals.copy()) for
+                  cells, offsets, bounds, arrivals in
+                  dtrp._draw_blocks(cfg, 1.0, cell_rate)]
+    want_cells, want_offsets, want_arrivals = _whole_run_block(cfg, 1.0,
+                                                               cell_rate)
+    got_arrivals = []
+    for i, (cells, offsets, bounds, arrivals) in enumerate(blocks):
+        assert cells and len(cells) == len(offsets) == len(bounds) - 1
+        assert bounds[0] == 0 and bounds[-1] == len(arrivals)
+        assert all(s < e for s, e in zip(bounds, bounds[1:]))
+        assert i == len(blocks) - 1 or len(arrivals) >= block
+        got_arrivals += [arrivals[s:e] for s, e in zip(bounds, bounds[1:])]
+    assert [c for b in blocks for c in b[0]] == want_cells
+    assert [o for b in blocks for o in b[1]] == want_offsets
+    assert len(got_arrivals) == len(want_arrivals)
+    for got, want in zip(got_arrivals, want_arrivals):
+        assert np.array_equal(got, want)
 
 
 def _fifo_oracle(cfg, period, cell_rate):

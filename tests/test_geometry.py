@@ -13,7 +13,7 @@ from ditsp import bounds, dtrp, geometry
 from ditsp.dtrp import DtrpConfig, _size_cell, predicted_system_time
 from ditsp.etsp import PointSet, worst_case_grid
 from ditsp.geometry import (CHUNK, MAX_TURN_RATIO, MIN_TURN_RATIO, BeadGrid, BeadSpec,
-                            CylinderGrid, CylinderSpec, bead_area, bead_meta_exponents,
+                            CylinderGrid, bead_area, bead_meta_exponents,
                             bead_schedule, bead_sweep, bead_width, cell_dtype,
                             cylinder_schedule, cylinder_sweep, cylinder_volume, ell_for_n,
                             ell_for_n_3d, meta_index)
@@ -186,19 +186,19 @@ def test_meta_row_count_monotone():
 
 
 def test_cylinder_volume_identity():
-    spec = CylinderSpec.create(1.0, 0.5)
+    spec = BeadSpec.create(1.0, 0.5)
     w = bead_width(1.0, 0.5)
-    assert spec.radius == pytest.approx(w / 4.0, rel=1e-12)
+    assert spec.radius == w / 4.0
     assert cylinder_volume(spec) == pytest.approx(
         math.pi * (w / 4.0) ** 2 * 0.25, rel=1e-12)
     # leading term pi*ell^5/(2048 rho^2)
-    tiny = CylinderSpec.create(1.0, 1e-3)
+    tiny = BeadSpec.create(1.0, 1e-3)
     assert cylinder_volume(tiny) == pytest.approx(
         math.pi * 1e-15 / 2048.0, rel=1e-5)
 
 
 def test_cylinder_grid_covers_box():
-    spec = CylinderSpec.create(0.2, 0.3)
+    spec = BeadSpec.create(0.2, 0.3)
     grid = CylinderGrid(1.0, 0.8, 0.6, spec)
     rng = substream(7, 5)
     pts = rng.uniform(size=(10**5, 3)) * [1.0, 0.8, 0.6]
@@ -245,12 +245,12 @@ def test_cylinder_grid_owner_is_nearest_axis(seed, rho, ell_frac, W, h, d):
     rng = substream(7, 6, seed)
     # random points in a random box
     grid = CylinderGrid(W, W * h, W * h * d,
-                        CylinderSpec.create(rho, 4.0 * rho * ell_frac))
+                        BeadSpec.create(rho, 4.0 * rho * ell_frac))
     pts = rng.uniform(size=(500, 3)) * [grid.W, grid.H, grid.D]
     k, r, c = grid.cell_index(pts)
     assert np.array_equal(np.stack([k, r]), np.stack(_nearest_axis_scan(grid, pts)))
     # exact ties, on a grid of radius 1/4
-    grid = CylinderGrid(2.0, 2.0, 1.5, CylinderSpec.create(0.25, 1.0))
+    grid = CylinderGrid(2.0, 2.0, 1.5, BeadSpec.create(0.25, 1.0))
     assert grid.spec.radius == 0.25
     pts = _voronoi_boundary_points(grid, rng, 600)
     k, r, c = grid.cell_index(pts)
@@ -311,7 +311,7 @@ def test_ell_for_n_3d_solves_volume_equation():
     for n in (10**2, 10**5):
         ell, clamped = ell_for_n_3d(1.0, 1.0, 1.0, 0.25, n)
         assert not clamped
-        spec = CylinderSpec.create(0.25, ell)
+        spec = BeadSpec.create(0.25, ell)
         assert cylinder_volume(spec) == pytest.approx(1.0 / (4.0 * n),
                                                       rel=1e-10)
     # and the asymptotic form 2*(16*rho**2*W*H*D/(pi*n))**(1/5)
@@ -366,7 +366,7 @@ def test_every_entry_that_takes_sides_rejects_bad_ones(dims):
                   lambda: bounds.tour_lower_2d(*dims, params, 100),
                   lambda: bounds.tour_upper_2d(*dims, params, 100)]
     else:
-        calls += [lambda: CylinderGrid(*dims, CylinderSpec.create(0.1, 0.2)),
+        calls += [lambda: CylinderGrid(*dims, BeadSpec.create(0.1, 0.2)),
                   lambda: ell_for_n_3d(*dims, 0.1, 100),
                   lambda: rec_cca(origin, params, *dims),
                   lambda: bounds.tour_lower_3d(*dims, params, 100),
@@ -419,7 +419,7 @@ def test_lookups_match_reference_and_stay_within_reach(seed, rho, ell_frac, W,
                                                        h, d):
     rng = substream(7, 7, seed)
     spec2 = BeadSpec.create(rho, 4.0 * rho * ell_frac)
-    spec3 = CylinderSpec.create(rho, 4.0 * rho * ell_frac)
+    spec3 = BeadSpec.create(rho, 4.0 * rho * ell_frac)
     for box, grid, reference in (
             ((W, W * h), BeadGrid(W, W * h, spec2), _bead_lookup_reference),
             ((W, W * h, W * h * d), CylinderGrid(W, W * h, W * h * d, spec3),
@@ -440,7 +440,7 @@ def test_lookups_match_reference_across_a_chunk(n):
     for box, grid, reference in (
             ((1.0, 0.5), BeadGrid(1.0, 0.5, BeadSpec.create(0.01, 0.03)),
              _bead_lookup_reference),
-            ((1.0, 0.5, 0.25), CylinderGrid(1.0, 0.5, 0.25, CylinderSpec.create(
+            ((1.0, 0.5, 0.25), CylinderGrid(1.0, 0.5, 0.25, BeadSpec.create(
                 0.05, 0.15)), _cylinder_lookup_reference)):
         pts = rng.uniform(size=(n, len(box))) * box
         got, want = grid.cell_index(pts), reference(grid, pts)
@@ -462,8 +462,8 @@ def test_cell_columns_are_int32_below_reach_2_31_else_int64():
             (BeadGrid(1.0, 1.0, BeadSpec.create(0.01, 0.02)),
              BeadGrid(1.0, 1.0, BeadSpec.create(1e-10, 4e-10)),
              _bead_lookup_reference),
-            (CylinderGrid(1.0, 1.0, 1.0, CylinderSpec.create(0.01, 0.02)),
-             CylinderGrid(1.0, 1.0, 1.0, CylinderSpec.create(2.5e-10, 1e-9)),
+            (CylinderGrid(1.0, 1.0, 1.0, BeadSpec.create(0.01, 0.02)),
+             CylinderGrid(1.0, 1.0, 1.0, BeadSpec.create(2.5e-10, 1e-9)),
              _cylinder_lookup_reference)):
         assert small.reach < 2**31 <= large.reach
         d = 2 if isinstance(small, BeadGrid) else 3
@@ -482,7 +482,7 @@ def test_lookup_rejects_a_grid_past_int64():
     rho = 2.0**-511
     for d, grid in ((2, BeadGrid(1.0, 1.0, BeadSpec.create(rho, 4.0 * rho))),
                     (3, CylinderGrid(1.0, 1.0, 1.0,
-                                     CylinderSpec.create(rho, 4.0 * rho)))):
+                                     BeadSpec.create(rho, 4.0 * rho)))):
         # built, as the DTRP cell sizing builds its bracket's short cells
         assert grid.reach > 2.0**63
         with pytest.raises(ValueError, match=f"int64: turn radius {rho} "):
@@ -491,7 +491,7 @@ def test_lookup_rejects_a_grid_past_int64():
 
 def test_lookup_rejects_an_index_past_its_column():
     # int32 columns: a point a billion cells out has no index in them
-    cylinders = CylinderGrid(1.0, 1.0, 1.0, CylinderSpec.create(0.01, 0.02))
+    cylinders = CylinderGrid(1.0, 1.0, 1.0, BeadSpec.create(0.01, 0.02))
     for grid, point in ((BeadGrid(1.0, 1.0, BeadSpec.create(0.01, 0.02)),
                          [1e9, 0.5]),
                         (cylinders, [0.5, 1e9, 0.5]),
@@ -508,7 +508,7 @@ def test_lookup_rejects_an_index_past_its_column():
 def test_cylinder_layer_is_exact_past_2_53():
     # int64 columns: the layer s + t is an integer sum, which a float sum
     # past 2**53 is not
-    grid = CylinderGrid(1.0, 1.0, 1.0, CylinderSpec.create(1e-17, 4e-17))
+    grid = CylinderGrid(1.0, 1.0, 1.0, BeadSpec.create(1e-17, 4e-17))
     pts = substream(7, 11).uniform(size=(1000, 3))
     got, want = grid.cell_index(pts), _cylinder_lookup_reference(grid, pts)
     assert got[0].dtype == np.int64 and got[0].max() > 2**53

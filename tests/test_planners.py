@@ -12,7 +12,7 @@ from oracles import brute_force_walk
 
 from ditsp.etsp import PointSet
 from ditsp.geometry import (CHUNK, BeadGrid, BeadSpec, CylinderGrid,
-                            CylinderSpec, bead_meta_exponents, bead_schedule,
+                            bead_meta_exponents, bead_schedule,
                             bead_sweep, cylinder_schedule, cylinder_sweep,
                             ell_for_n, ell_for_n_3d, meta_index)
 from ditsp.planners import (Tour, _serve_and_order, greedy_cleanup,
@@ -257,12 +257,11 @@ def test_full_sweeps_reach_closed_form_lower_bounds(W, h, d, rho, f):
     # each of at least 4D/w layers, each row out and back
     H, ell = W * h, 4.0 * rho * f
     D = H * d
-    bead = BeadSpec.create(rho, ell)
-    assert (bead_sweep(BeadGrid(W, H, bead), 1).length
-            >= (2.0 * H / bead.w) * W)
-    cyl = CylinderSpec.create(rho, ell)
-    assert (cylinder_sweep(CylinderGrid(W, H, D, cyl)).length
-            >= (2.0 * H / cyl.w) * (4.0 * D / cyl.w) * 2.0 * W)
+    spec = BeadSpec.create(rho, ell)
+    assert (bead_sweep(BeadGrid(W, H, spec), 1).length
+            >= (2.0 * H / spec.w) * W)
+    assert (cylinder_sweep(CylinderGrid(W, H, D, spec)).length
+            >= (2.0 * H / spec.w) * (4.0 * D / spec.w) * 2.0 * W)
 
 
 @settings(max_examples=100, deadline=None)
