@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, astuple
 
@@ -79,18 +80,30 @@ def cmd_dtrp(args) -> int:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     rows = []
     trace = [] if args.trace else None
+    first = None    # the seeds' runs sweep the first run's cell
     for seed in range(args.seeds):
         config = DtrpConfig(dims=dims, params=_params(args), lam=args.lam,
                             n_slots=args.horizon, seed=args.seed + seed)
-        stats = run(config, trace=trace if seed == 0 else None)
+        stats = run(config, trace=trace if seed == 0 else None,
+                    cell_from=first)
+        first = first or stats
         rows.append([args.policy, args.lam, seed, stats.mean_system_time,
                      stats.mean_queue_len, stats.served, int(stats.divergent)])
-    # the trace first: a trace path that cannot be written writes no rows
     if args.trace:
         trace.sort(key=lambda e: e["t"])
+        # the trace is opened before the rows are written, so that a trace
+        # path that cannot be written writes no rows, and is removed if the
+        # rows cannot be written
         with open(args.trace, "w") as fh:
+            try:
+                _emit(rows, DTRP_CSV_FIELDS, args.format, args.out)
+            except OSError:
+                fh.close()
+                os.remove(args.trace)
+                raise
             json.dump(trace, fh, indent=2)
-    _emit(rows, DTRP_CSV_FIELDS, args.format, args.out)
+    else:
+        _emit(rows, DTRP_CSV_FIELDS, args.format, args.out)
     # 1 iff a run diverged: a row ends in its divergent flag
     return int(any(row[-1] for row in rows))
 

@@ -216,51 +216,54 @@ def _fifo_slots(base: np.ndarray, starts: list, counts: np.ndarray,
 
 
 def _draw_blocks(config: DtrpConfig, period: float, cell_rate: float):
-    """Each sample cell's slot offset and sorted arrivals, drawn cell after
-    cell from one substream, grouped into blocks of consecutive cells with
-    arrivals.  A block is yielded once it holds at least ``_BLOCK_ARRIVALS``
-    arrivals, and at the last sample cell if it holds any; so no block is
-    empty, and only the last may hold fewer.
+    """Each sample cell's slot offset and sorted arrivals, drawn from one
+    substream, grouped into blocks of consecutive cells with arrivals.  A
+    block is yielded once it holds at least ``_BLOCK_ARRIVALS`` arrivals,
+    and at the last sample cell if it holds any; so no block is empty, and
+    only the last may hold fewer.
 
     Yields ``(cells, offsets, bounds, arrivals)``: lists of the block's
     cell numbers and their slot offsets, the one list ``[0, end_1, ...]``
     of the bounds of the cells' arrivals (the i-th cell's are
     ``arrivals[bounds[i]:bounds[i + 1]]``), and ``arrivals``, a view of one
-    float64 buffer that the next block overwrites.  Each cell's arrivals
-    are drawn into their slice of the buffer by ``rng.random(out=...)``
-    (the doubles of ``rng.random(n)``) and sorted there; the whole block is
-    then scaled by the horizon once.
-    ``x -> fl(x * horizon)`` is monotone, so sorting before scaling gives
-    the same arrivals bit for bit as scaling before sorting.  The buffer
-    grows, keeping the block drawn so far, when a cell would overflow it.
+    float64 buffer that the next block overwrites.
+
+    The draws come in one order: every cell's offset
+    (``rng.random(n_sample_cells)``, scaled by the period), then every
+    cell's arrival count (``rng.poisson(mean, n_sample_cells)``), then the
+    arrivals of the cells that have any, in cell order, one
+    ``rng.random(out=...)`` per block.  The doubles of ``rng.random`` do not
+    depend on how many are asked for at once, so the arrivals, and every
+    result, do not depend on the block size.  Each cell's arrivals are
+    sorted in their slice, and the block is then scaled by the horizon
+    once: ``x -> fl(x * horizon)`` is monotone, so sorting before scaling
+    gives the same arrivals bit for bit as scaling before sorting.  A block
+    ends at the first cell whose cumulative count reaches
+    ``_BLOCK_ARRIVALS`` past the block's start, so it holds fewer than
+    ``_BLOCK_ARRIVALS`` plus the largest count, the buffer's length.
     """
     horizon = config.n_slots * period
-    mean_arrivals = cell_rate * horizon
     rng = substream(config.seed, 7)
-    buf = np.empty(_BLOCK_ARRIVALS)
-    last = config.n_sample_cells - 1
-    cells, offsets, bounds, n_block = [], [], [0], 0
-    for cell in range(config.n_sample_cells):
-        # rng.random() * x is rng.uniform(0.0, x) bit for bit (that computes
-        # 0.0 + x * u from the same double u), at a third of the call cost
-        offset = rng.random() * period
-        n_arr = rng.poisson(mean_arrivals)
-        if n_arr:
-            end = n_block + n_arr
-            if end > len(buf):
-                buf = np.resize(buf, max(end, 2 * len(buf)))
-            arr = buf[n_block:end]
-            rng.random(out=arr)
-            arr.sort()
-            cells.append(cell)
-            offsets.append(offset)
-            bounds.append(end)
-            n_block = end
-        if n_block >= _BLOCK_ARRIVALS or cell == last and cells:
-            arrivals = buf[:n_block]
-            arrivals *= horizon
-            yield cells, offsets, bounds, arrivals
-            cells, offsets, bounds, n_block = [], [], [0], 0
+    # rng.random(n) * x is rng.uniform(0.0, x, n) bit for bit (that computes
+    # 0.0 + x * u from the same doubles u), with one pass fewer
+    offsets = rng.random(config.n_sample_cells)
+    offsets *= period
+    counts = rng.poisson(cell_rate * horizon, config.n_sample_cells)
+    cells = np.flatnonzero(counts)
+    ends = np.cumsum(counts[cells])
+    buf = np.empty(_BLOCK_ARRIVALS + int(counts.max()))
+    first, done = 0, 0      # the block's first cell, the arrivals before it
+    while first < len(cells):
+        last = int(np.searchsorted(ends, done + _BLOCK_ARRIVALS)) + 1
+        block = cells[first:last]
+        bounds = [0, *(ends[first:last] - done).tolist()]
+        arrivals = buf[:bounds[-1]]
+        rng.random(out=arrivals)
+        for s, e in zip(bounds, bounds[1:]):
+            arrivals[s:e].sort()
+        arrivals *= horizon
+        yield block.tolist(), offsets[block].tolist(), bounds, arrivals
+        first, done = last, done + bounds[-1]
 
 
 def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
@@ -373,25 +376,36 @@ def _trace_block(trace, cells, offsets, bounds, arrivals, depart,
                               "cell_index": cell})
 
 
-def _run_policy(config: DtrpConfig, trace: list | None) -> DtrpStats:
-    x_star = tune_policy(len(config.dims)).x_star
-    _, period, rate, clamped = _size_cell(config, x_star)
+def _run_policy(config: DtrpConfig, trace: list | None,
+                cell_from: DtrpStats | None) -> DtrpStats:
+    if cell_from is None:
+        x_star = tune_policy(len(config.dims)).x_star
+        _, period, rate, clamped = _size_cell(config, x_star)
+    else:
+        period, rate = cell_from.sweep_period, cell_from.cell_rate
+        clamped = cell_from.cell_clamped
     stats = _simulate_cells(config, period, rate, trace=trace)
     return replace(stats, cell_clamped=clamped)
 
 
-def run_bta(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
-    """Bead-sweep repair policy in a rectangle."""
+def run_bta(config: DtrpConfig, trace: list | None = None,
+            cell_from: DtrpStats | None = None) -> DtrpStats:
+    """Bead-sweep repair policy in a rectangle.  The cell is sized for
+    ``config``'s dims, vehicle and ``lam`` alone, so runs that differ only
+    in seed or horizon sweep the same cell: ``cell_from``, the stats of
+    such a run, lends its cell in place of a new solve."""
     if len(config.dims) != 2:
         raise ValueError("policy bta requires dims = (W, H)")
-    return _run_policy(config, trace)
+    return _run_policy(config, trace, cell_from)
 
 
-def run_cca(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
-    """Cylinder-sweep repair policy in a box."""
+def run_cca(config: DtrpConfig, trace: list | None = None,
+            cell_from: DtrpStats | None = None) -> DtrpStats:
+    """Cylinder-sweep repair policy in a box; ``cell_from`` as for
+    :func:`run_bta`."""
     if len(config.dims) != 3:
         raise ValueError("policy cca requires dims = (W, H, D)")
-    return _run_policy(config, trace)
+    return _run_policy(config, trace, cell_from)
 
 
 def predicted_system_time(dim: int, dims: tuple, params: VehicleParams,

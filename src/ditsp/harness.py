@@ -1,9 +1,10 @@
 """Monte Carlo scaling experiments: run tours over a grid of (n, seed),
 emit CSV, and fit log-log growth exponents.
 
-Every trial draws from its own counter-based stream keyed by (master seed,
-n, seed), and results are sorted by (n, seed) before use, so output is
-bitwise identical for any worker count.
+Every trial draws from its own stream, ``rng.substream(master seed, n,
+seed)``: a PCG64DXSM generator whose independence from the other trials'
+comes from the SeedSequence spawn key ``(n, seed)``.  Results are sorted by
+(n, seed) before use, so output is bitwise identical for any worker count.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ditsp
-from ditsp import cli
+from ditsp import cli, dtrp
 from ditsp.cli import main
 from ditsp.harness import (TOUR_CSV_FIELDS, ExperimentConfig, run_experiment,
                            write_tour_csv)
@@ -56,6 +56,28 @@ def test_dtrp_csv_and_trace(tmp_path):
     assert {"t", "event", "target_id", "cell_index"} <= set(events[0])
     kinds = {e["event"] for e in events}
     assert "arrival" in kinds and "sweep_start" in kinds
+
+
+@pytest.mark.parametrize("policy, dims", [("bta", []),
+                                          ("cca", ["--dim", "3", "--D", "1"])])
+def test_dtrp_sizes_the_cell_once_per_call(tmp_path, monkeypatch, policy,
+                                           dims):
+    # the cell depends on the workspace, the vehicle and lambda, not on the
+    # seed: one solve serves every seed's run, and a seed's row is the row
+    # of its own call
+    solves = []
+    size_cell = dtrp._size_cell
+    monkeypatch.setattr(dtrp, "_size_cell",
+                        lambda *args: solves.append(args) or size_cell(*args))
+    argv = ["dtrp", "--policy", policy, *dims, "--horizon", "20"]
+    rc = main(argv + ["--seeds", "3", "--out", str(tmp_path / "d.csv")])
+    assert rc == 0 and len(solves) == 1
+    rows = (tmp_path / "d.csv").read_text().splitlines()
+    assert len(rows) == 4
+    main(argv + ["--seed", "2", "--out", str(tmp_path / "last.csv")])
+    last = (tmp_path / "last.csv").read_text().splitlines()[1]
+    # all but the seed column, the seed's number within its call
+    assert rows[3].split(",")[3:] == last.split(",")[3:]
 
 
 def test_bounds_json(tmp_path):
@@ -245,7 +267,11 @@ def test_bad_workspace_exits_with_one_line(command, width):
       "--horizon", "20"], "lam"),
     (["dtrp", "--policy", "cca", "--dim", "3", "--D", "1", "--lambda", "1e12",
       "--horizon", "20"], "lam"),
-    (["scaling", "--ns", "20", "40", "--workers", "0"], "workers")])
+    (["scaling", "--ns", "20", "40", "--workers", "0"], "workers"),
+    # the policy's dims are checked before the cell is sized, whose rate is
+    # too high here
+    (["dtrp", "--policy", "cca", "--lambda", "1e15", "--horizon", "20"],
+     "cca")])
 def test_bad_n_exits_with_one_line(argv, word):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -381,19 +407,23 @@ def test_bad_file_exits_with_one_line(tmp_path, capsys, config, argv):
 
 
 @pytest.mark.parametrize("argv, word", [
-    (["dtrp", "--horizon", "5", "--trace", "{tmp}/no/dir/t.json"], "[Errno 2]"),
-    (["scaling", "--algo", "sgs", "--ns", "50", "--trials", "1"], "need")],
-    ids=["dtrp-trace", "scaling-fit"])
+    (["dtrp", "--horizon", "5", "--trace", "{tmp}/no/dir/t.json", "--out",
+      "{tmp}/rows.csv"], "[Errno 2]"),
+    (["dtrp", "--horizon", "5", "--trace", "{tmp}/t.json", "--out",
+      "{tmp}/no/dir/rows.csv"], "[Errno 2]"),
+    (["scaling", "--algo", "sgs", "--ns", "50", "--trials", "1", "--out",
+      "{tmp}/rows.csv"], "need")],
+    ids=["dtrp-trace", "dtrp-out", "scaling-fit"])
 def test_failing_last_step_writes_no_rows(tmp_path, capsys, argv, word):
-    # a trace path that cannot be written and a fit that fails: each command
-    # takes its last step that can fail before it writes any rows
-    out = tmp_path / "rows.csv"
+    # a trace path that cannot be written, an --out path that cannot be
+    # written and a fit that fails: each command writes no rows and leaves
+    # no file behind
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(out)])
+        main(argv)
     message = str(exc.value.code)
     assert message.startswith(f"{argv[0]}: {word}") and "\n" not in message
-    assert not out.exists() and not capsys.readouterr().out
+    assert not list(tmp_path.iterdir()) and not capsys.readouterr().out
 
 
 def test_module_entry_exits_with_one_line(tmp_path):

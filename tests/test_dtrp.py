@@ -330,27 +330,33 @@ PINNED_DTRP = {
     # found moved, so the period moved by -6.9e-5/+1.7e-5 (bta-20/40) and
     # +7.1e-6/-3.1e-6 (cca-20/40) relative, the mean system time and queue
     # length with it; every utilization is now at most x* (cca-40's was 3
-    # ulps above it), and served counts did not move
+    # ulps above it), and served counts did not move.
+    # All nine were re-recorded when the substreams became PCG64DXSM
+    # generators and each run drew every offset, then every count, then the
+    # arrivals in cell order: new draws, so new Monte Carlo values (bta-20's
+    # mean system time 271893 -> 265653, served 25784 -> 25700; cca-20's
+    # 3.1094e13 -> 3.0242e13, served 29441 -> 29339); the cell sizes and
+    # utilizations did not move
     "cli-trace":
-        "2f8cf4a87d4775eec961df95f0c38ee1fd440cae0187e1c92dcb3c1e88988916",
+        "dd9ba6bdd6655c12660c67f80502360d13c4e635e0866789275a94a1ad97cf02",
     "bta-20":
-        "98a6f6b2505e77e8588c19cf2f05286d1c5ff4862844461727b6fc69e83a8b9d",
+        "39a71866cb8e27058bf7789b1bbcb3a71de97cbe22b094e438ffcd7475ccc7f2",
     "bta-40":
-        "2bff5b628c1c7e4acd013beef0c2e92d2e37191cc29a25d1e5bd248e065ff6cf",
+        "92a524b7ccf84670226c93c6f94a374519b40a1dd05b402dd10c9234292e568f",
     "cca-20":
-        "7fbe330ce6e71b83038ab25fd47c8f54b158e8af2238bfd489d4010f3d1efe56",
+        "060c6c6a5881cdfc929f92dae0040269a67c44e9c1ec7caa8ee48efa693c5eed",
     "cca-40":
-        "bfbb6ff497e002aaff6af60e595a40f3693a6ff5111a621bccb5af26b76360a0",
+        "04e78578eb8b1bbe852efa79aeeda5f8552fab0d6d7004848ec2549e923fcb60",
     "late-early":
-        "73614f8c569b86f47301e949a1b2341e9714869b8959bd4faeb76f002309326e",
+        "0c7cedc4ffa9a829ce04d98048e280341a96daf453c7ddd5479e80fac2b22d0d",
     # re-recorded when divergence became utilization >= 1 alone: only the
     # divergent field moved, True -> False
     "late-early-fires":
-        "dd93e0bd5d8007dbc888cfa5c7ed73102af07fa5ed488be04aae33adcd6d123e",
+        "6ba0a53b74169f334dee36745ba8c2c1b789f062dce54ea9f797dd44cdab47d6",
     "divergent":
-        "fedfa966e17aad1ce605afa13f763b2d7c03f5fa0454011dbf990600272c99a3",
+        "e2d1f3d5b1b835e128e474a9a46df1736d4a76fcc545af3314ea5d38e85ebbe9",
     "sparse":
-        "37c103b2847309f064741ccedfbf7d4d42c2889e4be35f0ca9e9bd44bca62e4e",
+        "146e5a6166ee0614f0061195e55294432fda74a696d7a82b55c4d9ce07afbbaf",
 }
 
 
@@ -374,8 +380,8 @@ def test_sized_cells_stay_at_or_below_x_star(dim):
 def _block_case(name, tmp_path):
     if name != "long-cells":
         return _pinned_case(name, tmp_path)
-    # about 20000 arrivals per cell, more than a default block holds, so the
-    # draw buffer grows
+    # about 20000 arrivals per cell, more than _BLOCK_ARRIVALS, so every
+    # block is one cell that fills most of the draw buffer
     cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1.0, n_slots=40000,
                      n_sample_cells=4, seed=24)
     trace = []
@@ -396,18 +402,20 @@ def test_results_do_not_depend_on_block_size(name, block, tmp_path,
 
 def _whole_run_block(cfg, period, cell_rate):
     """The cells with arrivals, their offsets and their arrivals as one
-    block of the whole run: each cell redraws its offset, count and sorted
-    arrivals from the same substream, as the draws do."""
+    block of the whole run, redrawn from the same substream in the draws'
+    order: every cell's offset, then every cell's count, then each cell's
+    arrivals, sorted, in cell order."""
     horizon = cfg.n_slots * period
     rng = substream(cfg.seed, 7)
+    all_offsets = rng.uniform(0.0, period, size=cfg.n_sample_cells)
+    counts = rng.poisson(cell_rate * horizon, size=cfg.n_sample_cells)
     cells, offsets, arrivals = [], [], []
     for cell in range(cfg.n_sample_cells):
-        offset = rng.uniform(0.0, period)
-        n_arr = rng.poisson(cell_rate * horizon)
-        if n_arr:
+        if counts[cell]:
             cells.append(cell)
-            offsets.append(offset)
-            arrivals.append(np.sort(rng.uniform(0.0, horizon, size=n_arr)))
+            offsets.append(float(all_offsets[cell]))
+            arrivals.append(np.sort(rng.uniform(0.0, horizon,
+                                                size=counts[cell])))
     return cells, offsets, arrivals
 
 
@@ -446,16 +454,17 @@ def test_draw_blocks_cut_one_whole_run_block(n_cells, log_mean, block, seed):
 
 
 def _fifo_oracle(cfg, period, cell_rate):
-    """The slotted queue one arrival at a time, in plain Python: each cell
-    redraws its offset and arrivals from the same substream, and arrival i
-    departs at slot max(first slot after it, slot of arrival i-1 + 1)."""
+    """The slotted queue one arrival at a time, in plain Python: the cells
+    redraw their offsets, counts and arrivals from the same substream in the
+    draws' order, and arrival i departs at slot max(first slot after it,
+    slot of arrival i-1 + 1)."""
     horizon = cfg.n_slots * period
     warmup = cfg.warmup_fraction * horizon
     rng = substream(cfg.seed, 7)
+    offsets = rng.uniform(0.0, period, size=cfg.n_sample_cells).tolist()
+    counts = rng.poisson(cell_rate * horizon, size=cfg.n_sample_cells)
     served, waits = 0, []
-    for _ in range(cfg.n_sample_cells):
-        offset = rng.uniform(0.0, period)
-        n_arr = rng.poisson(cell_rate * horizon)
+    for offset, n_arr in zip(offsets, counts.tolist()):
         if n_arr == 0:
             continue
         prev = -1

@@ -129,25 +129,28 @@ def test_etsp_deterministic_given_seed():
 # 40.88924... -> 40.36227...).  Both were re-recorded again when 2-opt took
 # its rows from the walk's k = 16 query, which orders exact ties unlike a
 # k = 9 query (grid-900: 30.317344640832047 -> 30.344958878323588,
-# grid-1600: 40.362272549335955 -> 40.32085119309864)
+# grid-1600: 40.362272549335955 -> 40.32085119309864).  All six were
+# re-recorded when the substreams became PCG64DXSM generators: new points
+# and new random starts (grid-900: 30.344959 -> 30.275704, grid-1600:
+# 40.320851 -> 40.527301, uniform-1000: 24.935844 -> 24.847154)
 PINNED_TOURS = {
     "uniform-1000-dense":
-        ("b30518cd4eb02e5270f2aeaa583ac03743a1c6e094ef2daaab2643b6c6c8d833",
+        ("fa17c057ad0e29e32afc4ab984b21eca9b31308caa316f13f25441939727e166",
          lambda: substream(21, 0).uniform(size=(1000, 2))),
     "uniform-2000-neighbour-lists":
-        ("ccef2d03752ae8acf87cef778c9904b34ab657b53ff077f88fe8cb099cb4229d",
+        ("1feea6b8b3ac73c31c3d8ffba8c4cb317cd74e1d60bf2dcea8aa709f833d73cb",
          lambda: substream(21, 1).uniform(size=(2000, 2))),
     "uniform-3d-1500":
-        ("3956339cec51263f7662548bdcb6389e12b19d15f14e67d42cc00ddcab7b8c1f",
+        ("b3e9725cba6769bd78bd682f2df28737c227b6b896b9d11500cff5222d5c1598",
          lambda: substream(21, 2).uniform(size=(1500, 3))),
     "uniform-3d-700-dense":
-        ("adc74b89ceea7bbf2b9b41c33ee31e3a871b09f4bce15e6a96886bc34ad6f912",
+        ("65cc88fdbb906d88c7c8ac146d090fb039bff3a6ee61f52aa91890f3a01bb836",
          lambda: substream(21, 3).uniform(size=(700, 3))),
     "grid-1600-ties":
-        ("0d3fcab0ec299922a6e8d4a8930772447ce8d4c96fbbe3d788f03bb7a063ac65",
+        ("37d9fa8cd27153352c360a7efa69b1f1db4025908b50a75adb2b45f6d5352760",
          lambda: worst_case_grid(1600, 2, 1.0, 1.0).points),
     "grid-900-dense-ties":
-        ("879aa907a45a7c9be14a108e7bc98d479772375468a0009c2e832196b35889a8",
+        ("bbe8733095b596404c0328ee11aa6a75a5acaf57bb080238131bd567ae3476e7",
          lambda: worst_case_grid(900, 2, 1.0, 1.0).points),
 }
 
