@@ -80,26 +80,26 @@ def cmd_dtrp(args) -> int:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     rows = []
     trace = [] if args.trace else None
-    first = None    # the seeds' runs sweep the first run's cell
     for seed in range(args.seeds):
         config = DtrpConfig(dims=dims, params=_params(args), lam=args.lam,
                             n_slots=args.horizon, seed=args.seed + seed)
-        stats = run(config, trace=trace if seed == 0 else None,
-                    cell_from=first)
-        first = first or stats
+        stats = run(config, trace=trace if seed == 0 else None)
         rows.append([args.policy, args.lam, seed, stats.mean_system_time,
                      stats.mean_queue_len, stats.served, int(stats.divergent)])
     if args.trace:
         trace.sort(key=lambda e: e["t"])
         # the trace is opened before the rows are written, so that a trace
-        # path that cannot be written writes no rows, and is removed if the
-        # rows cannot be written
+        # path that cannot be written writes no rows; if the rows cannot be
+        # written, the trace file is removed only if this call made it, so a
+        # file, link, device or pipe found at the path stays
+        made = not os.path.lexists(args.trace)
         with open(args.trace, "w") as fh:
             try:
                 _emit(rows, DTRP_CSV_FIELDS, args.format, args.out)
             except OSError:
-                fh.close()
-                os.remove(args.trace)
+                if made:
+                    fh.close()
+                    os.remove(args.trace)
                 raise
             json.dump(trace, fh, indent=2)
     else:

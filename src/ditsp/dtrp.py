@@ -376,36 +376,35 @@ def _trace_block(trace, cells, offsets, bounds, arrivals, depart,
                               "cell_index": cell})
 
 
-def _run_policy(config: DtrpConfig, trace: list | None,
-                cell_from: DtrpStats | None) -> DtrpStats:
-    if cell_from is None:
-        x_star = tune_policy(len(config.dims)).x_star
-        _, period, rate, clamped = _size_cell(config, x_star)
-    else:
-        period, rate = cell_from.sweep_period, cell_from.cell_rate
-        clamped = cell_from.cell_clamped
+@functools.lru_cache(maxsize=1)
+def _policy_cell(dims: tuple, params: VehicleParams, lam: float):
+    """``_size_cell`` at the tuned utilization, kept for the last inputs:
+    the cell depends on the workspace, the vehicle and ``lam`` alone, so
+    runs that differ only in seed or horizon, such as the seeds of one
+    ``ditsp dtrp`` call, share one solve."""
+    x_star = tune_policy(len(dims)).x_star
+    return _size_cell(DtrpConfig(dims=dims, params=params, lam=lam), x_star)
+
+
+def _run_policy(config: DtrpConfig, trace: list | None) -> DtrpStats:
+    _, period, rate, clamped = _policy_cell(tuple(config.dims), config.params,
+                                            config.lam)
     stats = _simulate_cells(config, period, rate, trace=trace)
     return replace(stats, cell_clamped=clamped)
 
 
-def run_bta(config: DtrpConfig, trace: list | None = None,
-            cell_from: DtrpStats | None = None) -> DtrpStats:
-    """Bead-sweep repair policy in a rectangle.  The cell is sized for
-    ``config``'s dims, vehicle and ``lam`` alone, so runs that differ only
-    in seed or horizon sweep the same cell: ``cell_from``, the stats of
-    such a run, lends its cell in place of a new solve."""
+def run_bta(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
+    """Bead-sweep repair policy in a rectangle."""
     if len(config.dims) != 2:
         raise ValueError("policy bta requires dims = (W, H)")
-    return _run_policy(config, trace, cell_from)
+    return _run_policy(config, trace)
 
 
-def run_cca(config: DtrpConfig, trace: list | None = None,
-            cell_from: DtrpStats | None = None) -> DtrpStats:
-    """Cylinder-sweep repair policy in a box; ``cell_from`` as for
-    :func:`run_bta`."""
+def run_cca(config: DtrpConfig, trace: list | None = None) -> DtrpStats:
+    """Cylinder-sweep repair policy in a box."""
     if len(config.dims) != 3:
         raise ValueError("policy cca requires dims = (W, H, D)")
-    return _run_policy(config, trace, cell_from)
+    return _run_policy(config, trace)
 
 
 def predicted_system_time(dim: int, dims: tuple, params: VehicleParams,

@@ -67,6 +67,7 @@ def test_dtrp_sizes_the_cell_once_per_call(tmp_path, monkeypatch, policy,
     # of its own call
     solves = []
     size_cell = dtrp._size_cell
+    dtrp._policy_cell.cache_clear()
     monkeypatch.setattr(dtrp, "_size_cell",
                         lambda *args: solves.append(args) or size_cell(*args))
     argv = ["dtrp", "--policy", policy, *dims, "--horizon", "20"]
@@ -424,6 +425,21 @@ def test_failing_last_step_writes_no_rows(tmp_path, capsys, argv, word):
     message = str(exc.value.code)
     assert message.startswith(f"{argv[0]}: {word}") and "\n" not in message
     assert not list(tmp_path.iterdir()) and not capsys.readouterr().out
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["file", "symlink"])
+def test_failing_out_keeps_a_trace_path_found_there(tmp_path, link):
+    # an --out that cannot be written removes the trace file only if the
+    # call made it: a file or a link already at the trace path stays
+    found = tmp_path / "found.json"
+    found.write_text("[]")
+    trace = tmp_path / "link.json" if link else found
+    if link:
+        trace.symlink_to(found)
+    with pytest.raises(SystemExit):
+        main(["dtrp", "--horizon", "5", "--trace", str(trace), "--out",
+              str(tmp_path / "no" / "dir" / "d.csv")])
+    assert found.is_file() and trace.is_symlink() == link
 
 
 def test_module_entry_exits_with_one_line(tmp_path):
