@@ -38,8 +38,9 @@ C_PRINTED_3D = 0.1615
 # that a block's temporaries stay in cache
 _BLOCK_ARRIVALS = 16384
 # bit shift that lifts each cell of a block above the previous one in the
-# single running maximum of _fifo_slots
-_LIFT_BITS = 40
+# single running maximum of _fifo_slots: a block's at most _BLOCK_ARRIVALS =
+# 2**14 cells times 2**38 stay below 2**53, where doubles hold every integer
+_LIFT_BITS = 38
 
 
 @dataclass(frozen=True)
@@ -189,28 +190,44 @@ def _size_cell(config: DtrpConfig, x_target: float):
 
 def _fifo_slots(base: np.ndarray, starts: list, counts: np.ndarray,
                 index: np.ndarray) -> np.ndarray:
-    """FIFO service slots of several cells' queues at once, written over
-    ``base``.
+    """FIFO departure slots of several cells' queues at once, as float64
+    slot numbers written over ``base``.
 
-    ``base`` holds each arrival's first slot after its arrival, the
-    arrivals sorted by (cell, time), with cell c's ``counts[c]`` arrivals
-    from ``base[starts[c]]`` on; ``index`` is an ``arange`` at least as long
-    as ``base``, kept from block to block.  Within a cell the k-th arrival
-    leaves at slot ``k + max(base[i] - i for i <= k)``; one running maximum
-    serves every cell because cell c's values are lifted by ``c <<
-    _LIFT_BITS``, above all of cell c-1's.  ``base - k`` lies in ``(-n_arr,
-    n_slots + 1]``, so the cells stay apart while ``n_slots`` plus one
-    cell's arrivals stays below ``2**_LIFT_BITS``, and int64 holds the lift
-    while the cell count stays below ``2**(63 - _LIFT_BITS)``; a block holds
-    at most ``_BLOCK_ARRIVALS`` cells.
+    ``base`` holds each arrival's time after its cell's slot offset in
+    periods, at least -1, the arrivals sorted by (cell, time), with cell
+    c's ``counts[c]`` arrivals from ``base[starts[c]]`` on; ``index`` is a
+    float64 ``arange`` at least as long as ``base``, kept from block to
+    block.  The first slot after an arrival is ``floor(base[i]) + 1``, and
+    within a cell the k-th arrival leaves at slot ``k + max(first[i] - i
+    for i <= k)``.  One running maximum serves every cell because cell c's
+    values are lifted by ``(c + 1) * 2**_LIFT_BITS``, above all of cell
+    c-1's.  The maximum runs on the doubles' int64 bit patterns, which
+    order positive doubles as their values, so it costs what an int64
+    maximum costs while the slots stay floats.
+
+    The slots are integers, exact as int64 arithmetic's, under two bounds
+    that :func:`_draw_blocks` checks once per run.  First, the largest
+    first slot (at most ``n_slots + 1``) plus the largest cell count stays
+    below ``2**_LIFT_BITS``: so the cells stay apart and every lifted value
+    ``first[i] - k + (c + 1) * 2**_LIFT_BITS`` is positive.  Second, the
+    block's cell count times ``2**_LIFT_BITS``, plus the block's length,
+    plus that first slot and count, is at most ``2**53``: so every number
+    formed here is an integer that a double holds exactly.  A block holds
+    at most ``_BLOCK_ARRIVALS`` = 2**14 cells, so at ``_LIFT_BITS`` = 38
+    the first bound implies the second.
     """
-    # base[i] - k + (c << _LIFT_BITS) = base[i] + shift[i], k = i - starts[c]
-    lift = np.arange(len(starts), dtype=np.int64) << _LIFT_BITS
+    np.floor(base, out=base)
+    base += 1.0
+    # first[i] - k + (c + 1) * 2**_LIFT_BITS = first[i] + shift[i],
+    # k = i - starts[c]
+    lift = np.arange(1.0, len(starts) + 1.0)
+    lift *= 2.0**_LIFT_BITS
     lift += starts
     shift = np.repeat(lift, counts)
     shift -= index[:len(base)]
     base += shift
-    np.maximum.accumulate(base, out=base)
+    bits = base.view(np.int64)
+    np.maximum.accumulate(bits, out=bits)
     base -= shift
     return base
 
@@ -240,7 +257,10 @@ def _draw_blocks(config: DtrpConfig, period: float, cell_rate: float):
     gives the same arrivals bit for bit as scaling before sorting.  A block
     ends at the first cell whose cumulative count reaches
     ``_BLOCK_ARRIVALS`` past the block's start, so it holds fewer than
-    ``_BLOCK_ARRIVALS`` plus the largest count, the buffer's length.
+    ``_BLOCK_ARRIVALS`` plus the largest count, the buffer's length.  Once
+    the counts are drawn, before any block, the run is checked against
+    :func:`_fifo_slots`' two bounds; a run that breaks one is a
+    ``ValueError`` that names the horizon.
     """
     horizon = config.n_slots * period
     rng = substream(config.seed, 7)
@@ -251,7 +271,18 @@ def _draw_blocks(config: DtrpConfig, period: float, cell_rate: float):
     counts = rng.poisson(cell_rate * horizon, config.n_sample_cells)
     cells = np.flatnonzero(counts)
     ends = np.cumsum(counts[cells])
-    buf = np.empty(_BLOCK_ARRIVALS + int(counts.max()))
+    largest = int(counts.max())
+    # _fifo_slots' two bounds: first slot plus count below the lift, and
+    # every number it forms within the integers that doubles hold
+    top = config.n_slots + 1 + largest
+    if (top >= 2**_LIFT_BITS
+            or min(len(cells), _BLOCK_ARRIVALS) * 2**_LIFT_BITS
+            + _BLOCK_ARRIVALS + largest + top > 2**53):
+        raise ValueError(
+            f"horizon of {config.n_slots} slots is too long: with "
+            f"{largest} arrivals in one cell its slot numbers do not stay "
+            "exact")
+    buf = np.empty(_BLOCK_ARRIVALS + largest)
     first, done = 0, 0      # the block's first cell, the arrivals before it
     while first < len(cells):
         last = int(np.searchsorted(ends, done + _BLOCK_ARRIVALS)) + 1
@@ -281,19 +312,24 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     Cells are simulated in blocks of about ``_BLOCK_ARRIVALS`` arrivals
     (:func:`_draw_blocks`): each block's arrivals, in (cell, time) order in
     one buffer, go through whole-array passes, and one running maximum
-    gives every cell's slots (:func:`_fifo_slots`).  The block's ``bounds``
-    give the cells' starts, ``bounds[:-1]``, their arrival counts, and the
-    trace's slices.  Blocks keep the temporaries in cache; one pass over a
-    whole long run is slower.  Each temporary is overwritten in place once
-    it is no longer needed: the first slots become the service slots, the
-    offsets the waits (zeroed where not kept), the departures the occupancy
-    spans.  Both statistics, the mean wait and the occupancy integral, are
-    sums taken per cell and added in cell order, so the results do not
-    depend on the block size, and no wait outlives its block: memory holds
-    one block, that is ``_BLOCK_ARRIVALS`` plus the largest cell's
-    arrivals, whatever the horizon.  The trace holds each of the first
-    ``trace_cells`` cells' first 50 slots and first 200 arrivals with their
-    services.
+    gives every cell's slots (:func:`_fifo_slots`).  Slot numbers stay
+    float64 from the first slot to the departure time; they are exact while
+    ``n_slots + 1`` plus the largest cell count stays below
+    ``2**_LIFT_BITS`` and a block's lifted slots below ``2**53``, both
+    checked once per run by :func:`_draw_blocks`, which names the horizon
+    if either fails.  The block's ``bounds`` give the cells' starts,
+    ``bounds[:-1]``, their arrival counts, and the trace's slices.  Blocks
+    keep the temporaries in cache; one pass over a whole long run is
+    slower.  Each temporary is overwritten in place once it is no longer
+    needed: the arrivals' times in periods become the first slots, the
+    service slots and the departures, the offsets the waits (zeroed where
+    not kept), the departures the occupancy spans.  Both statistics, the
+    mean wait and the occupancy integral, are sums taken per cell and added
+    in cell order, so the results do not depend on the block size, and no
+    wait outlives its block: memory holds one block, that is
+    ``_BLOCK_ARRIVALS`` plus the largest cell's arrivals, whatever the
+    horizon.  The trace holds each of the first ``trace_cells`` cells'
+    first 50 slots and first 200 arrivals with their services.
     """
     horizon = config.n_slots * period
     warmup = config.warmup_fraction * horizon
@@ -302,22 +338,21 @@ def _simulate_cells(config: DtrpConfig, period: float, cell_rate: float,
     wait_total = 0.0    # the sum of their system times
     occupancy = 0.0     # integral of queue length over the post-warmup window
     first_target_id = 0
-    index = np.empty(0, dtype=np.int64)
+    index = np.empty(0)
     for cells, offsets, bounds, arrivals in _draw_blocks(config, period,
                                                          cell_rate):
         n = len(arrivals)
         if len(index) < n:
-            index = np.arange(n, dtype=np.int64)
+            index = np.arange(float(n))
         starts = bounds[:-1]
         counts = np.subtract(bounds[1:], starts)
         offset = np.repeat(offsets, counts)
-        # first slot after each arrival; arrivals are >= 0 and offsets are
-        # below one period, so the quotient is > -1 and the slot >= 0
+        # each arrival's time after its cell's offset, in periods; arrivals
+        # are >= 0 and offsets at most one period, so it is at least -1
         first = arrivals - offset
         first /= period
-        slots = np.floor(first, out=first).astype(np.int64)
-        slots += 1
-        depart = _fifo_slots(slots, starts, counts, index) * period
+        depart = _fifo_slots(first, starts, counts, index)
+        depart *= period
         depart += offset
         if trace is not None and cells[0] < trace_cells:
             _trace_block(trace, cells, offsets, bounds, arrivals,

@@ -503,6 +503,95 @@ def test_simulate_cells_matches_fifo_oracle(seed, n_slots, n_cells, load,
         assert got.mean_system_time == pytest.approx(mean_t, rel=1e-12)
 
 
+def _per_cell_fifo(quotients, counts):
+    """Departure slots cell by cell in Python integers: with F_k the floor
+    of arrival k's time after its cell's offset in periods, D_k =
+    max(F_k + 1, D_{k-1} + 1), and D_0 = F_0 + 1."""
+    out, i = [], 0
+    for n in counts:
+        prev = None
+        for q in quotients[i:i + n]:
+            first = math.floor(q) + 1
+            prev = first if prev is None else max(first, prev + 1)
+            out.append(prev)
+        i += n
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_cells=st.integers(1, 200), largest=st.integers(1, 50),
+       at_bound=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# a full block of one-arrival cells, its lifted slots near 2**52
+@example(n_cells=dtrp._BLOCK_ARRIVALS, largest=1, at_bound=True, seed=0)
+@example(n_cells=dtrp._BLOCK_ARRIVALS, largest=1, at_bound=False, seed=1)
+def test_fifo_slots_match_a_per_cell_fifo(n_cells, largest, at_bound, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, largest, n_cells, endpoint=True)
+    n = int(counts.sum())
+    # at the bound, n_slots + 1 plus the largest count is 2**_LIFT_BITS - 1,
+    # the most that _draw_blocks admits
+    n_slots = 2**dtrp._LIFT_BITS - 2 - int(counts.max()) if at_bound else 20
+    floors = rng.integers(-1, n_slots, n, endpoint=True)
+    edge = rng.integers(0, 4, n)
+    floors[edge == 0] = -1          # before the cell's offset: first slot 0
+    floors[edge == 1] = n_slots     # the last first slot, n_slots + 1
+    # 0.0 makes exact-integer quotients, whose first slot is the next one;
+    # the quotients are in no order, which the recurrence does not need
+    quotients = floors + rng.choice([0.0, 0.25, 0.5, 0.75], n)
+    starts = [0, *np.cumsum(counts)[:-1].tolist()]
+    index = np.arange(n + 3.0)      # longer than the block, as between blocks
+    got = dtrp._fifo_slots(quotients.copy(), starts, counts, index)
+    assert got.dtype == np.float64
+    assert got.tolist() == _per_cell_fifo(quotients.tolist(), counts.tolist())
+
+
+def _exactness_case(n_cells):
+    """The guard's run: 300 slots at load 0.95, and the largest first slot
+    plus count, n_slots + 1 + the largest cell count, from a replay of the
+    draws."""
+    cfg = DtrpConfig(dims=(1.0, 1.0), params=SLOW, lam=1.0, n_slots=300,
+                     n_sample_cells=n_cells, seed=5)
+    period = 0.7
+    cell_rate = 0.95 / period
+    rng = substream(cfg.seed, 7)
+    rng.random(n_cells)
+    counts = rng.poisson(cell_rate * cfg.n_slots * period, n_cells)
+    assert counts.all()     # every cell in the block
+    return cfg, period, cell_rate, cfg.n_slots + 1 + int(counts.max())
+
+
+def test_lift_bound_is_checked(monkeypatch):
+    # with too few lift bits a cell's slots run into the next cell's and the
+    # statistics go wrong, so the run is refused; the fewest bits that the
+    # bound admits give the oracle's results
+    cfg, period, cell_rate, top = _exactness_case(40)
+    bits = top.bit_length()
+    served, mean_t = _fifo_oracle(cfg, period, cell_rate)
+    monkeypatch.setattr(dtrp, "_LIFT_BITS", bits)
+    got = _simulate_cells(cfg, period, cell_rate)
+    assert got.served == served
+    assert got.mean_system_time == pytest.approx(mean_t, rel=1e-12)
+    for short in (bits - 1, 4):
+        monkeypatch.setattr(dtrp, "_LIFT_BITS", short)
+        with pytest.raises(ValueError, match="horizon of 300 slots"):
+            _simulate_cells(cfg, period, cell_rate)
+
+
+def test_double_bound_is_checked(monkeypatch):
+    # at 2**48 per cell, 31 cells in one block lift their slots to just
+    # below 2**53, where doubles still hold every integer, and give the
+    # oracle's results; a 32nd cell would pass 2**53
+    monkeypatch.setattr(dtrp, "_LIFT_BITS", 48)
+    cfg, period, cell_rate, _ = _exactness_case(31)
+    served, mean_t = _fifo_oracle(cfg, period, cell_rate)
+    got = _simulate_cells(cfg, period, cell_rate)
+    assert got.served == served
+    assert got.mean_system_time == pytest.approx(mean_t, rel=1e-12)
+    cfg, period, cell_rate, _ = _exactness_case(32)
+    with pytest.raises(ValueError, match="horizon of 300 slots"):
+        _simulate_cells(cfg, period, cell_rate)
+
+
 def test_simulate_cells_memory_does_not_grow_with_horizon():
     # the statistics are streamed block by block, so a run ten times as long
     # peaks at about the same traced memory: one block, not every wait
